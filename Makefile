@@ -24,7 +24,7 @@ lint:
 bench:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.cli bench
 
-# ~30 s determinism smoke: tiny campaign, serial vs parallel hashes
+# ~30 s determinism smoke: tiny campaign, serial vs sharded hashes
 # must match; never touches the tracked BENCH_campaign.json.
 bench-smoke:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.cli bench --smoke
@@ -45,7 +45,7 @@ bench-scale:
 	$(PYTHONPATH_SRC) $(PYTHON) scripts/bench_scale.py
 
 # The pre-merge gate: determinism + analysis smokes via the CLI, then
-# the bench_check script (tier-1 suite + campaign smoke + parallel
+# the bench_check script (tier-1 suite + campaign smoke + sharded
 # regression + the DNS/serializer and analysis fast-path gates + the
 # pipelined campaign→report gate against the committed
 # BENCH_campaign.json).

@@ -1,4 +1,4 @@
-"""Campaign throughput: serial loop vs per-carrier shard workers.
+"""Campaign throughput: serial loop vs sub-carrier shard workers.
 
 Unlike the figure/table benches, this one times the *measurement* stage
 itself.  It drives :mod:`repro.measure.bench` at a reduced scale (the
@@ -23,7 +23,7 @@ def bench_campaign_throughput(emit):
     report = run_benchmarks(SMOKE_SCALE, output_path=None)
     emit("campaign_throughput", format_report(report))
     campaign = report["campaign"]
-    assert campaign["hash_match"], "parallel dataset diverged from serial"
+    assert campaign["hash_match"], "sharded dataset diverged from serial"
     assert campaign["serial_exp_per_s"] > 0
     assert report["asn_lookup"]["speedup"] >= 10.0
 

@@ -5,15 +5,15 @@ Runs, in order:
 
 1. the tier-1 test suite (``pytest -x -q`` with ``src`` on the path);
 2. a ~30 s benchmark smoke at ``device_scale=0.05`` over 14 days,
-   failing hard if the per-carrier parallel or sub-carrier sharded
-   campaign's dataset hash differs from the serial one, if the
-   fault-free dataset hash drifts from the pinned
-   ``SMOKE_DATASET_SHA256`` golden (the transport layer's
-   byte-identity contract) — and, on a multi-core box, if the sharded
-   executor stays *slower* than the serial one across three attempts
-   (an executor regression; noise only slows a leg down, so the best
-   attempt gates; single-core boxes only note the expected slowdown —
-   ``--executor auto`` runs serial there);
+   failing hard if the sub-carrier sharded campaign's streamed
+   dataset hash differs from the serial one, if the fault-free
+   dataset hash drifts from the pinned ``SMOKE_DATASET_SHA256``
+   golden (the transport layer's byte-identity contract) — and, on a
+   multi-core box, if the sharded executor stays *slower* than the
+   serial one across three attempts (an executor regression; noise
+   only slows a leg down, so the best attempt gates; single-core boxes
+   only note the expected slowdown — ``--executor auto`` runs serial
+   there);
 3. the warm worker-pool gate: snapshot boots must beat world rebuilds
    (best-of-3 each), a repeat run must reuse the live pool, and the
    overlapped tailing merge must hash identically to the
@@ -48,7 +48,7 @@ Runs, in order:
    keeping the maximum advantage: noise can only hide a real saving).
 
 Exit status is non-zero on any test failure, on a determinism-hash
-mismatch, on a multi-core parallel slowdown, on an analysis identity
+mismatch, on a multi-core sharded slowdown, on an analysis identity
 break, or on a fast-path regression, so CI (or a pre-push hook) can
 call this one script.
 
@@ -81,7 +81,7 @@ def run_tier1() -> int:
 
 
 def run_bench_smoke() -> int:
-    """Small campaign, serial/parallel/sharded, hashes must match."""
+    """Small campaign, serial vs sharded, hashes must match."""
     sys.path.insert(0, SRC)
     from repro.measure.bench import (
         SMOKE_DATASET_SHA256,
@@ -96,7 +96,6 @@ def run_bench_smoke() -> int:
     print(
         f"{report['experiments']} experiments | "
         f"serial {report['serial_exp_per_s']}/s | "
-        f"parallel(x{report['workers']}) {report['parallel_exp_per_s']}/s | "
         f"sharded(x{report['workers']}/{report['shards']}) "
         f"{report['sharded_exp_per_s']}/s | "
         f"hash {report['dataset_hash'][:16]}…",
@@ -104,12 +103,11 @@ def run_bench_smoke() -> int:
     )
     if not report["hash_match"]:
         print(
-            "FAIL: a multiprocess dataset hash differs from serial "
-            "(parallel and/or sharded)",
+            "FAIL: the sharded dataset hash differs from serial",
             file=sys.stderr,
         )
         return 1
-    print("determinism: OK (serial == parallel == sharded)")
+    print("determinism: OK (serial == sharded)")
     if report["dataset_hash"] != SMOKE_DATASET_SHA256:
         print(
             f"FAIL: fault-free smoke hash {report['dataset_hash'][:16]}… "
@@ -156,15 +154,11 @@ def run_bench_smoke() -> int:
             report = best
         else:
             print(
-                "note: multiprocess executors slower than serial on 1 core "
+                "note: sharded executor slower than serial on 1 core "
                 "(expected; `--executor auto` runs serial here)"
             )
             return 0
-    print(
-        f"speedups on {cores} cores: "
-        f"parallel {report['parallel_speedup']}x, "
-        f"sharded {report['sharded_speedup']}x"
-    )
+    print(f"sharded speedup on {cores} cores: {report['sharded_speedup']}x")
     return 0
 
 

@@ -76,7 +76,7 @@ def _t3_verizon(study):
     row = rows.get("verizon")
     if row is None:
         return False, "no verizon identifications"
-    return row.consistency_pct == 100.0, f"consistency {row.consistency_pct:.0f}%"
+    return row.consistency_pct == 100.0, f"consistency {row.consistency_pct}%"
 
 
 def _t3_indirect(study):
@@ -248,8 +248,12 @@ def _fig11_13_closer_faster(study):
         )
     for carrier in study.world.operators:
         curves = study.fig13_public_resolution(carrier)
-        if curves["local"].median >= curves["google"].median:
+        local, google = curves["local"].median, curves["google"].median
+        if local >= google:
             ok = False
+            evidence.append(
+                f"{carrier} resolution: local {local} >= google {google}ms"
+            )
     return ok, "; ".join(evidence)
 
 

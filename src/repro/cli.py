@@ -18,7 +18,7 @@ Five subcommands cover the lifecycle of a study:
 * ``repro-study export`` — dump every figure's series as CSV.
 
 Plus ``verify`` (check paper claims against a fresh campaign) and
-``bench`` (campaign throughput serial vs parallel, substrate
+``bench`` (campaign throughput serial vs sharded, substrate
 microbenchmarks; writes ``BENCH_campaign.json``).
 """
 
@@ -124,15 +124,10 @@ def _cmd_run(args) -> int:
                 f"{result['total_shards']}",
                 file=sys.stderr,
             )
-    elif args.report or backend:
+    else:
         result = study.campaign.run_streaming(
             args.output, sink=sink, backend=backend
         )
-    else:
-        dataset = study.dataset
-        written = dataset.save(args.output)
-        print(f"Wrote {written} experiments to {args.output}")
-        return 0
     if sink is not None:
         from repro.analysis.engine import StreamedDataset
 
@@ -283,7 +278,7 @@ def _cmd_bench(args) -> int:
     if output:
         print(f"Wrote {output}")
     if not report["campaign"]["hash_match"]:
-        print("FAIL: parallel dataset hash diverged from serial",
+        print("FAIL: sharded dataset hash diverged from serial",
               file=sys.stderr)
         return 1
     return 0
@@ -432,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--interval-hours", type=float, default=12.0)
     bench.add_argument(
         "--workers", type=int, default=0,
-        help="parallel shard workers (0 = min(carriers, cpus))",
+        help="sharded-leg worker pool size (0 = min(device ranges, cpus))",
     )
     bench.add_argument(
         "--analysis", action="store_true",
@@ -443,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--smoke", action="store_true",
         help="~30s determinism smoke: tiny campaign, asserts the serial "
-             "and parallel dataset hashes match; skips writing the report "
+             "and sharded dataset hashes match; skips writing the report "
              "unless --output is given",
     )
     bench.add_argument(

@@ -9,7 +9,7 @@ simulator reproduces those conditions as *data*, not code forks: a
 
 Every dataclass here is frozen and built from plain tuples, so a
 scenario pickles cleanly into the :class:`~repro.core.world.WorldConfig`
-that parallel campaign shards rebuild their worlds from.
+that sharded campaign workers rebuild their worlds from.
 
 Scenarios load by bundled name or from a JSON file::
 

@@ -51,7 +51,6 @@ from repro.core.world import World, WorldConfig, build_world
 from repro.measure.campaign import (
     Campaign,
     CampaignConfig,
-    ParallelCampaign,
     ShardedCampaign,
     select_executor,
 )
@@ -88,8 +87,8 @@ class StudyConfig:
     #: granularity — see CampaignConfig.range_size).
     range_size: int = 32
     #: Execution strategy: ``auto`` (serial on one core, sub-carrier
-    #: ``sharded`` otherwise), ``serial``, per-carrier ``parallel`` or
-    #: ``sharded``.  Output is bit-identical across all of them.
+    #: ``sharded`` otherwise), ``serial`` or ``sharded``.  Output is
+    #: bit-identical across all of them.
     executor: str = "auto"
     world: WorldConfig = field(default_factory=WorldConfig)
 
@@ -141,8 +140,8 @@ class CellularDNSStudy:
             shard_count=len(campaign_config.device_ranges(carrier_keys)),
             experiments=campaign_config.estimated_experiments(carrier_keys),
         )
-        #: The resolved execution strategy ("serial", "parallel" or
-        #: "sharded"), as a string-comparable value.
+        #: The resolved execution strategy ("serial" or "sharded"), as
+        #: a string-comparable value.
         self.executor: str = self.executor_decision
         if self.executor == "sharded":
             self.campaign: Campaign = ShardedCampaign(
@@ -150,12 +149,6 @@ class CellularDNSStudy:
                 campaign_config,
                 workers=self.config.workers or None,
                 shards=self.config.shards or None,
-            )
-        elif self.executor == "parallel":
-            self.campaign = ParallelCampaign(
-                self.world,
-                campaign_config,
-                workers=self.config.workers or None,
             )
         else:
             self.campaign = Campaign(self.world, campaign_config)

@@ -87,7 +87,7 @@ class WorldConfig:
     #: the bundled ``baseline``) mean fault-free: the campaign must then
     #: hash byte-identically to the pre-transport engine.  Scenarios are
     #: plain frozen dataclasses, so they survive the WorldConfig pickling
-    #: that parallel campaign shards rebuild their worlds from.
+    #: that sharded campaign workers rebuild their worlds from.
     scenario: Optional[FaultScenario] = None
 
     def content_hash(self) -> str:

@@ -10,8 +10,8 @@ qtype)``.  ``scope`` partitions the cache by an opaque label, ``subnet``
 by the EDNS Client Subnet a query carried.  The campaign layer uses the
 scope to enforce its *shard isolation contract*: every device carries a
 ``cache_scope`` naming its sub-carrier device range (``att/r0``,
-``att/r1``, ...), and every executor — serial, per-carrier parallel or
-sub-carrier sharded — applies the same partition, so cache warmth never
+``att/r1``, ...), and every executor — serial or sub-carrier
+sharded — applies the same partition, so cache warmth never
 flows between ranges and the dataset bytes cannot depend on how devices
 were divided across workers.  Engines shared across carriers (public DNS
 clusters) fall back to an operator-keyed scope for non-campaign devices.

@@ -788,8 +788,8 @@ class RecursiveEngine:
         shared by several cellular operators (public DNS clusters) scope
         entries per operator so one carrier's queries never warm or evict
         another carrier's view — the *shard isolation contract* that lets
-        per-carrier campaign shards run in parallel yet bit-identically
-        to a serial run.  Cross-carrier warmth is modelled (as all other
+        campaign shards run in worker processes yet bit-identically to a
+        serial run.  Cross-carrier warmth is modelled (as all other
         background population is) by ``background_warm_prob``.
 
         Every lookup counts exactly once in the cache statistics: as a

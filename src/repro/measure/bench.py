@@ -2,9 +2,9 @@
 
 Performance work on the simulator is held to two commitments at once:
 
-* **Throughput** — experiments per second, serial and sharded-parallel
-  (:class:`~repro.measure.campaign.ParallelCampaign`).
-* **Exactness** — the parallel dataset must hash identically to the
+* **Throughput** — experiments per second, serial and sharded
+  (:class:`~repro.measure.campaign.ShardedCampaign`).
+* **Exactness** — the sharded dataset must hash identically to the
   serial one; a benchmark that got faster by diverging is a regression.
 
 ``run_benchmarks`` measures both, plus microbenchmarks of the hot
@@ -54,7 +54,7 @@ class BenchScale:
     device_scale: float = 0.5
     duration_days: float = 7.0
     interval_hours: float = 12.0
-    workers: int = 0  # 0 = min(carriers, cpus)
+    workers: int = 0  # 0 = min(device ranges, cpus)
 
 
 def smoke_scale(seed: int = 2014, workers: int = 0) -> BenchScale:
@@ -72,11 +72,17 @@ def smoke_scale(seed: int = 2014, workers: int = 0) -> BenchScale:
 
 
 def bench_campaign(scale: Optional[BenchScale] = None) -> Dict[str, object]:
-    """Serial vs parallel vs sharded throughput, with the identity check."""
+    """Serial vs sharded throughput, with the identity check.
+
+    The serial leg times :meth:`Campaign.run`; the sharded leg times
+    :meth:`ShardedCampaign.run_streaming` into a temporary archive —
+    the path every multiprocess run takes.
+    """
+    import tempfile
+
     from repro.measure.campaign import (
         Campaign,
         CampaignConfig,
-        ParallelCampaign,
         ShardedCampaign,
         select_executor,
     )
@@ -94,26 +100,20 @@ def bench_campaign(scale: Optional[BenchScale] = None) -> Dict[str, object]:
     serial = serial_campaign.run()
     serial_s = time.perf_counter() - started
 
-    workers = scale.workers or min(
-        len(serial_campaign.world.operators), os.cpu_count() or 1
-    )
-    with ParallelCampaign(
-        build_world(world_config), campaign_config, workers=workers
-    ) as parallel_campaign:
-        started = time.perf_counter()
-        parallel = parallel_campaign.run()
-        parallel_s = time.perf_counter() - started
-
     with ShardedCampaign(
-        build_world(world_config), campaign_config, workers=workers
-    ) as sharded_campaign:
+        build_world(world_config),
+        campaign_config,
+        workers=scale.workers or None,
+    ) as sharded_campaign, tempfile.TemporaryDirectory(
+        prefix="repro-bench-campaign-"
+    ) as tmp:
         started = time.perf_counter()
-        sharded = sharded_campaign.run()
+        sharded = sharded_campaign.run_streaming(
+            os.path.join(tmp, "campaign.jsonl")
+        )
         sharded_s = time.perf_counter() - started
 
     serial_hash = serial.content_hash()
-    parallel_hash = parallel.content_hash()
-    sharded_hash = sharded.content_hash()
     experiments = len(serial)
     return {
         # Delivery-outcome tally of every send the serial campaign made;
@@ -126,7 +126,7 @@ def bench_campaign(scale: Optional[BenchScale] = None) -> Dict[str, object]:
         "interval_hours": scale.interval_hours,
         "devices": len(serial_campaign.devices),
         "experiments": experiments,
-        "workers": workers,
+        "workers": sharded_campaign.workers,
         "shards": sharded_campaign.shards,
         "device_ranges": len(sharded_campaign.ranges),
         # What an `--executor auto` run would pick on this box (sized
@@ -135,15 +135,12 @@ def bench_campaign(scale: Optional[BenchScale] = None) -> Dict[str, object]:
             "auto", shard_count=len(sharded_campaign.ranges)
         ),
         "serial_s": round(serial_s, 3),
-        "parallel_s": round(parallel_s, 3),
         "sharded_s": round(sharded_s, 3),
         "serial_exp_per_s": round(experiments / serial_s, 1),
-        "parallel_exp_per_s": round(experiments / parallel_s, 1),
         "sharded_exp_per_s": round(experiments / sharded_s, 1),
-        "parallel_speedup": round(serial_s / parallel_s, 2),
         "sharded_speedup": round(serial_s / sharded_s, 2),
         "dataset_hash": serial_hash,
-        "hash_match": serial_hash == parallel_hash == sharded_hash,
+        "hash_match": serial_hash == sharded["content_hash"],
     }
 
 
@@ -478,11 +475,11 @@ def bench_scheduler(scale: Optional[BenchScale] = None) -> Dict[str, object]:
       event per device, pop-then-push-next until empty), with the probe
       work stubbed out, so the number is the scheduling machinery alone;
     * **shard merge** — peak traced allocation of packaging one campaign
-      from spilled shard JSONL, both ways the sharded executor's parent
-      can do it: the in-memory path (parse every shard back to records,
-      ``Dataset.from_shard_streams``, hash — what ``run()`` holds) vs
-      the streaming path (``merge_shard_jsonl`` over the files, holding
-      one line block — what ``run_streaming()`` holds).  Both must land
+      from spilled shard JSONL two ways: an in-memory merge (parse every
+      shard back to records, ``Dataset.from_shard_streams``, hash) vs
+      the streaming path the sharded executor's parent takes
+      (``merge_shard_jsonl`` over the files, holding one line block —
+      what ``run_streaming()`` holds).  Both must land
       on the serial content hash; the streaming peak is the number that
       makes million-experiment campaigns packageable on a laptop.
     """
@@ -555,8 +552,8 @@ def bench_scheduler(scale: Optional[BenchScale] = None) -> Dict[str, object]:
                     if line:
                         yield line
 
-        # In-memory packaging: what run()'s parent holds — every shard's
-        # records as objects, the merged dataset, and the hash pass.
+        # In-memory packaging: every shard's records as objects, the
+        # merged dataset, and the hash pass.
         gc.collect()
         tracemalloc.start()
         shard_datasets = [Dataset.load(path) for path in paths]
@@ -1088,23 +1085,15 @@ def format_report(report: Dict[str, object]) -> str:
     transport = report.get("transport")
     asn = report["asn_lookup"]
     primitives = report["primitives"]
-    sharded_part = (
-        f"sharded(x{campaign['workers']}/{campaign.get('shards', '?')}) "
-        f"{campaign['sharded_exp_per_s']}/s "
-        f"({campaign['sharded_speedup']}x) | "
-        if "sharded_exp_per_s" in campaign
-        else ""
-    )
     lines = [
         f"cpus: {report['cpu_count']}",
         (
             f"campaign: {campaign['experiments']} experiments | "
             f"serial {campaign['serial_exp_per_s']}/s | "
-            f"parallel(x{campaign['workers']}) "
-            f"{campaign['parallel_exp_per_s']}/s "
-            f"({campaign['parallel_speedup']}x) | "
-            + sharded_part
-            + f"auto executor: {campaign['executor']} | "
+            f"sharded(x{campaign['workers']}/{campaign['shards']}) "
+            f"{campaign['sharded_exp_per_s']}/s "
+            f"({campaign['sharded_speedup']}x) | "
+            f"auto executor: {campaign['executor']} | "
             f"hash match: {campaign['hash_match']}"
         ),
         (

@@ -5,13 +5,12 @@ client counts, scaled if asked), schedules each device's experiments
 over the study window, runs them in probe-event order and collects an
 analysable :class:`~repro.measure.records.Dataset`.
 
-Three execution strategies produce *bit-identical* datasets:
+Two execution strategies produce *bit-identical* datasets (the
+``--executor`` choices are ``auto``, ``serial`` and ``sharded``):
 
 * :class:`Campaign` runs everything in one process, draining one
   :class:`~repro.measure.scheduler.ProbeEventQueue` keyed
   ``(timestamp, carrier_key, device_index, sequence)``.
-* :class:`ParallelCampaign` runs one worker process per carrier shard
-  (the legacy executor, capped at six shards).
 * :class:`ShardedCampaign` shards by *device range within* a carrier:
   the population is cut into deterministic ranges of
   :attr:`CampaignConfig.range_size` consecutive devices, any number of
@@ -28,7 +27,7 @@ therefore every record byte, is invariant across executors and any
 ``--shards N``.  The identity is asserted in tests via
 :meth:`Dataset.content_hash`.
 
-The multiprocess executors run *warm worker pools*:
+The sharded executor runs a *warm worker pool*:
 
 * **Snapshot bootstrap** — the parent serializes its pristine world
   once (:func:`~repro.core.world.snapshot_world`) and ships the bytes
@@ -51,15 +50,15 @@ The multiprocess executors run *warm worker pools*:
   as far as every shard's flushed frontier allows, so only the tail of
   the merge waits for the slowest shard.
 
-For campaigns too large to materialise, :meth:`ShardedCampaign.run_streaming`
-spills each shard's records to JSONL as they are produced and k-way
-merges the spill files by event key straight to the output path, so
-peak memory is O(shards), not O(campaign).
+Workers never pickle records back to the parent: every shard spills
+its records to JSONL as they are produced and the parent k-way merges
+the spill files by event key straight to the output path, so peak
+memory is O(shards), not O(campaign).  :meth:`ShardedCampaign.run`
+is that same stream written to a temporary archive and loaded back.
 """
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import os
 import shutil
@@ -68,7 +67,7 @@ import tempfile
 import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.cellnet.device import MobileDevice
 from repro.cellnet.mobility import MobilityModel
@@ -84,11 +83,7 @@ from repro.core.world import (
 )
 from repro.geo.regions import cities_for, city_weights
 from repro.measure.experiment import ExperimentOptions, ExperimentRunner
-from repro.measure.records import (
-    Dataset,
-    ExperimentRecord,
-    record_event_key,
-)
+from repro.measure.records import Dataset, ExperimentRecord
 from repro.measure.scheduler import ExperimentSchedule, ProbeEventQueue
 
 #: Per-carrier client counts from Table 1 of the paper.
@@ -102,7 +97,7 @@ PAPER_CLIENT_COUNTS: Dict[str, int] = {
 }
 
 #: Valid ``--executor`` choices.
-EXECUTOR_CHOICES = ("auto", "serial", "parallel", "sharded")
+EXECUTOR_CHOICES = ("auto", "serial", "sharded")
 
 #: Valid worker-pool start-method requests.
 MP_CONTEXT_CHOICES = ("auto", "fork", "forkserver", "spawn")
@@ -189,8 +184,8 @@ def select_executor(
     the historical behaviour for the supply-side checks).
 
     Explicit requests are honoured as stated — the benchmark forces the
-    parallel executors to assert hash identity even where ``auto``
-    would not use them.
+    sharded executor to assert hash identity even where ``auto`` would
+    not use it.
 
     Returns an :class:`ExecutorDecision` — a ``str`` subclass equal to
     the chosen executor, carrying the reason and cost estimates.
@@ -506,31 +501,11 @@ class Campaign:
                     following, carrier_key, device_index, sequence + 1, payload
                 )
 
-    def _execute(self, devices: Sequence[MobileDevice]) -> List[ExperimentRecord]:
-        """Run the given devices' experiments in global event order."""
-        return list(self._iter_execute(devices))
-
-    def run_shard(self, carrier_key: str) -> List[ExperimentRecord]:
-        """Run only one carrier's devices, in shard-local order.
-
-        Restricted to a single carrier, global event order and
-        shard-local order coincide — the property that makes
-        per-carrier parallelism exact rather than approximate.
-        """
-        return self._execute(self.devices_of(carrier_key))
-
     def run(self) -> Dataset:
         """Run every scheduled experiment, globally event-ordered."""
         self._prepare_serial_run()
-        records = self._execute(self.devices)
-        return self._package(records)
-
-    def _package(self, records: List[ExperimentRecord]) -> Dataset:
-        dataset = Dataset(
-            experiments=records,
-            metadata=self._metadata(len(records)),
-        )
-        return dataset
+        records = list(self._iter_execute(self.devices))
+        return Dataset(experiments=records, metadata=self._metadata(len(records)))
 
     def _metadata(self, experiments: int) -> Dict[str, object]:
         return {
@@ -662,19 +637,6 @@ def _worker_campaign(run_token: int) -> Campaign:
     return campaign
 
 
-def _run_carrier_shard(run_token: int, carrier_key: str) -> List[ExperimentRecord]:
-    """Worker task: one carrier's shard (the parallel executor's unit)."""
-    return _worker_campaign(run_token).run_shard(carrier_key)
-
-
-def _run_shard_ranges(
-    run_token: int, ranges: Sequence[DeviceRange]
-) -> List[ExperimentRecord]:
-    """Worker task: run one group of device ranges, records in memory."""
-    campaign = _worker_campaign(run_token)
-    return campaign._execute(campaign.devices_in_ranges(ranges))
-
-
 #: Serialized lines buffered per write while spilling shard output.
 _SPILL_BLOCK_LINES = 256
 
@@ -718,6 +680,11 @@ def _iter_jsonl_lines(path: str) -> Iterator[str]:
 #: Poll cadence while tailing a still-running shard's spill file.
 _TAIL_POLL_S = 0.02
 
+#: Most bytes one tail read takes.  A shard that finished long before
+#: the merge reaches it must not be read whole: every stream holds at
+#: most this much unmerged data, which keeps the parent O(shards).
+_TAIL_READ_BYTES = 1 << 16
+
 
 def _tail_jsonl_lines(path: str, future) -> Iterator[str]:
     """Yield a spill file's lines while its producer may still run.
@@ -747,7 +714,7 @@ def _tail_jsonl_lines(path: str, future) -> Iterator[str]:
         if size > offset:
             with open(path, "rb") as handle:
                 handle.seek(offset)
-                chunk = handle.read()
+                chunk = handle.read(_TAIL_READ_BYTES)
             offset += len(chunk)
             pending += chunk
             complete = pending.split(b"\n")
@@ -762,140 +729,7 @@ def _tail_jsonl_lines(path: str, future) -> Iterator[str]:
     future.result()  # propagate the worker's exception, if any
 
 
-class _WarmPoolMixin:
-    """Persistent worker-pool lifecycle shared by multiprocess campaigns.
-
-    The pool is created on first use and *reused* across runs — worker
-    processes stay warm, so repeat runs pay zero interpreter spawns and
-    (via run tokens) one snapshot boot instead of a world rebuild.
-    Lifecycle is explicit: :meth:`close` (idempotent) or use the
-    campaign as a context manager; garbage collection closes without
-    waiting as a backstop.
-    """
-
-    def _init_pool_state(self, mp_context: str) -> None:
-        self.mp_context: str = resolve_mp_context(mp_context)
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._executor_workers = 0
-        self._run_token = 0
-        #: Pool lifecycle counters: how many pools this campaign
-        #: created and how many runs reused a live one — the bench's
-        #: pool-amortization signal.
-        self.pool_stats: Dict[str, int] = {"created": 0, "reused": 0}
-
-    def _next_run_token(self) -> int:
-        """A fresh token per run: workers re-boot pristine state on it."""
-        token = self._run_token
-        self._run_token = token + 1
-        return token
-
-    def _ensure_pool(self, max_workers: int) -> ProcessPoolExecutor:
-        pool = self._executor
-        if (
-            pool is not None
-            and self._executor_workers == max_workers
-            and not getattr(pool, "_broken", False)
-        ):
-            self.pool_stats["reused"] += 1
-            return pool
-        if pool is not None:
-            pool.shutdown(wait=True)
-            self._executor = None
-        pool = ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=multiprocessing.get_context(self.mp_context),
-            initializer=_init_shard_worker,
-            initargs=(self.world_snapshot, self.world.config, self.config),
-        )
-        self._executor = pool
-        self._executor_workers = max_workers
-        self.pool_stats["created"] += 1
-        return pool
-
-    def close(self, wait: bool = True) -> None:
-        """Shut the warm worker pool down (idempotent)."""
-        pool = self._executor
-        self._executor = None
-        self._executor_workers = 0
-        if pool is not None:
-            pool.shutdown(wait=wait)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-        return False
-
-    def __del__(self):
-        try:
-            self.close(wait=False)
-        except Exception:
-            pass
-
-
-class ParallelCampaign(_WarmPoolMixin, Campaign):
-    """Campaign that runs one worker process per carrier shard.
-
-    The legacy executor: carriers are independent shards of the
-    simulation, so their experiment streams can run concurrently and be
-    merged back into global event order.  Output is bit-identical to
-    :meth:`Campaign.run` for the same world config and campaign config,
-    but parallelism is capped at the carrier count — prefer
-    :class:`ShardedCampaign`, which splits ranges *within* carriers.
-
-    ``workers=0`` falls back to the serial loop; ``workers=None`` uses
-    ``min(carrier count, cpu count)``.  The worker pool is warm (see
-    :class:`_WarmPoolMixin`): snapshot-booted, persistent across runs,
-    closed via :meth:`close` or the context-manager protocol.
-    """
-
-    def __init__(
-        self,
-        world: World,
-        config: Optional[CampaignConfig] = None,
-        workers: Optional[int] = None,
-        mp_context: str = "auto",
-    ):
-        super().__init__(world, config)
-        if workers is None:
-            workers = min(len(world.operators), os.cpu_count() or 1)
-        self.workers = workers
-        self._init_pool_state(mp_context)
-
-    def run(self) -> Dataset:
-        carrier_keys = list(self.world.operators)
-        if self.workers <= 0 or len(carrier_keys) <= 1:
-            return super().run()
-        shards = self._run_shards(carrier_keys)
-        merged = list(
-            heapq.merge(
-                *(shards[key] for key in carrier_keys),
-                key=record_event_key,
-            )
-        )
-        dataset = self._package(merged)
-        dataset.metadata["workers"] = self.workers
-        return dataset
-
-    def _run_shards(
-        self, carrier_keys: Sequence[str]
-    ) -> Dict[str, List[ExperimentRecord]]:
-        """Run every carrier shard across the warm worker pool."""
-        token = self._next_run_token()
-        pool = self._ensure_pool(min(self.workers, len(carrier_keys)) or 1)
-        shards: Dict[str, List[ExperimentRecord]] = {}
-        futures = {
-            pool.submit(_run_carrier_shard, token, key): key
-            for key in carrier_keys
-        }
-        done, _ = wait(futures, return_when=FIRST_EXCEPTION)
-        for future in done:
-            shards[futures[future]] = future.result()
-        return shards
-
-
-class ShardedCampaign(_WarmPoolMixin, Campaign):
+class ShardedCampaign(Campaign):
     """Campaign sharded by device range *within* carriers.
 
     The device population is cut into deterministic
@@ -910,10 +744,13 @@ class ShardedCampaign(_WarmPoolMixin, Campaign):
     key.  Output is bit-identical to :meth:`Campaign.run` for *any*
     shard count, worker count and start method.
 
-    The worker pool is warm (see :class:`_WarmPoolMixin`): persistent
-    across ``run``/``run_streaming`` calls with per-run tokens keeping
-    repeated runs idempotent; close via :meth:`close` or use the
-    campaign as a context manager.
+    The worker pool is created on first use and *reused* across
+    ``run``/``run_streaming`` calls — worker processes stay warm, so
+    repeat runs pay zero interpreter spawns and (via per-run tokens)
+    one snapshot boot instead of a world rebuild.  Lifecycle is
+    explicit: :meth:`close` (idempotent) or use the campaign as a
+    context manager; garbage collection closes without waiting as a
+    backstop.
 
     ``workers=0`` falls back to the serial loop.
     """
@@ -936,7 +773,61 @@ class ShardedCampaign(_WarmPoolMixin, Campaign):
         if workers is None:
             workers = min(os.cpu_count() or 1, self.shards)
         self.workers = workers
-        self._init_pool_state(mp_context)
+        self.mp_context: str = resolve_mp_context(mp_context)
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._run_token = 0
+        #: Pool lifecycle counters: how many pools this campaign
+        #: created and how many runs reused a live one — the bench's
+        #: pool-amortization signal.
+        self.pool_stats: Dict[str, int] = {"created": 0, "reused": 0}
+
+    # -- warm worker pool -----------------------------------------------------
+
+    def _next_run_token(self) -> int:
+        """A fresh token per run: workers re-boot pristine state on it."""
+        token = self._run_token
+        self._run_token = token + 1
+        return token
+
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        pool = self._executor
+        if pool is not None and not getattr(pool, "_broken", False):
+            self.pool_stats["reused"] += 1
+            return pool
+        if pool is not None:
+            pool.shutdown(wait=True)
+            self._executor = None
+        pool = ProcessPoolExecutor(
+            max_workers=min(self.workers, len(self.ranges)) or 1,
+            mp_context=multiprocessing.get_context(self.mp_context),
+            initializer=_init_shard_worker,
+            initargs=(self.world_snapshot, self.world.config, self.config),
+        )
+        self._executor = pool
+        self.pool_stats["created"] += 1
+        return pool
+
+    def close(self, wait: bool = True) -> None:
+        """Shut the warm worker pool down (idempotent)."""
+        pool = self._executor
+        self._executor = None
+        if pool is not None:
+            pool.shutdown(wait=wait)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.close()
+        return False
+
+    def __del__(self):
+        try:
+            self.close(wait=False)
+        except Exception:
+            pass
+
+    # -- execution ------------------------------------------------------------
 
     def shard_tasks(self) -> List[List[DeviceRange]]:
         """Group consecutive ranges into ``shards`` balanced tasks.
@@ -971,15 +862,18 @@ class ShardedCampaign(_WarmPoolMixin, Campaign):
         return tasks
 
     def run(self) -> Dataset:
-        """Run all shards and merge records in memory."""
+        """Run all shards via :meth:`run_streaming` and load the result.
+
+        The merged stream lands in a temporary JSONL archive that is
+        loaded back, so records never cross the process boundary as
+        pickled objects.
+        """
         if self.workers <= 0 or self.shards <= 1:
             return super().run()
-        shard_records = self._run_tasks_collect(self.shard_tasks())
-        merged = list(heapq.merge(*shard_records, key=record_event_key))
-        dataset = self._package(merged)
-        dataset.metadata["workers"] = self.workers
-        dataset.metadata["shards"] = self.shards
-        return dataset
+        with tempfile.TemporaryDirectory(prefix="repro-run-") as tmpdir:
+            path = os.path.join(tmpdir, "campaign.jsonl")
+            self.run_streaming(path)
+            return Dataset.load(path)
 
     def run_streaming(
         self,
@@ -1003,7 +897,7 @@ class ShardedCampaign(_WarmPoolMixin, Campaign):
         identical).  The metadata line is appended after the records
         (loaders accept it at any position); record bytes — and
         therefore :meth:`Dataset.content_hash` — are identical to
-        :meth:`run`.
+        :meth:`Campaign.run`.
 
         ``sink`` is the pipelined-analysis hook: on this sharded path
         its ``ingest_line(line)`` method is fed every merged line as it
@@ -1032,7 +926,7 @@ class ShardedCampaign(_WarmPoolMixin, Campaign):
                 for i in range(len(tasks))
             ]
             token = self._next_run_token()
-            pool = self._ensure_pool(min(self.workers, len(self.ranges)) or 1)
+            pool = self._ensure_pool()
             futures = [
                 pool.submit(_spill_shard_ranges, token, task, path)
                 for task, path in zip(tasks, paths)
@@ -1071,12 +965,3 @@ class ShardedCampaign(_WarmPoolMixin, Campaign):
         metadata["workers"] = self.workers
         metadata["shards"] = self.shards
         return metadata
-
-    def _run_tasks_collect(
-        self, tasks: List[List[DeviceRange]]
-    ) -> List[List[ExperimentRecord]]:
-        token = self._next_run_token()
-        pool = self._ensure_pool(min(self.workers, len(self.ranges)) or 1)
-        futures = [pool.submit(_run_shard_ranges, token, task) for task in tasks]
-        wait(futures, return_when=FIRST_EXCEPTION)
-        return [future.result() for future in futures]

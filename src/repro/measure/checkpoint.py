@@ -126,9 +126,9 @@ def campaign_fingerprint(
 
 
 def campaign_shard_tasks(campaign: Campaign) -> List[List[DeviceRange]]:
-    """The campaign's shard plan: its own for sharded executors, one
-    all-ranges task for serial/parallel campaigns (still checkpointable —
-    a single durable unit)."""
+    """The campaign's shard plan: its own for the sharded executor, one
+    all-ranges task for a serial campaign (still checkpointable — a
+    single durable unit)."""
     if isinstance(campaign, ShardedCampaign):
         return campaign.shard_tasks()
     ranges = campaign.config.device_ranges(list(campaign.world.operators))
@@ -409,9 +409,7 @@ def _run_missing_shards(
         return committed
 
     token = campaign._next_run_token()
-    pool = campaign._ensure_pool(
-        min(campaign.workers, len(campaign.ranges)) or 1
-    )
+    pool = campaign._ensure_pool()
     futures = {
         pool.submit(
             _spill_checkpoint_shard, token, shard, tasks[shard],

@@ -1062,7 +1062,7 @@ class Dataset:
         NaN-safe (``resolution_ms`` can be NaN for unreachable targets,
         and ``nan != nan`` under dataclass equality) and means equality
         of hashes is exactly equality of archived ``.jsonl`` bodies.
-        This is the oracle the parallel campaign — and every fast-path
+        This is the oracle the sharded campaign — and every fast-path
         optimisation of the serial engine — is verified against.  It is
         deliberately *not* memoised: in-place record mutation must change
         the hash (the result cache computes it once per run instead).

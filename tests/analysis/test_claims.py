@@ -1,11 +1,18 @@
 """The machine-checkable claim list."""
 
+from types import SimpleNamespace
+
 from repro.analysis.claims import (
     Claim,
     PAPER_CLAIMS,
     render_verification,
     verify_claims,
 )
+from repro.analysis.consistency import LdnsPairRow
+
+
+def _claim(claim_id):
+    return next(claim for claim in PAPER_CLAIMS if claim.claim_id == claim_id)
 
 
 class TestClaimList:
@@ -43,3 +50,34 @@ class TestVerification:
         results = verify_claims(study, claims=[claim])
         assert not results[0].passed
         assert "boom" in results[0].evidence
+
+
+class TestFailingEvidence:
+    """A failing check must show the unrounded value that failed it."""
+
+    def test_c4_near_miss_fails_with_unrounded_consistency(self):
+        study = SimpleNamespace(
+            table3_ldns_pairs=lambda: [LdnsPairRow("verizon", 12, 3, 12, 99.848)]
+        )
+        (result,) = verify_claims(study, claims=[_claim("C4")])
+        assert result.passed is False
+        assert "99.848" in result.evidence
+
+    def test_c15_names_the_carrier_whose_local_resolution_is_slower(self):
+        def median(value):
+            return SimpleNamespace(median=value)
+
+        pings = {"local-external": median(20.0), "google": median(40.0)}
+        resolution = {
+            "att": {"local": median(30.25), "google": median(45.5)},
+            "skt": {"local": median(51.125), "google": median(47.75)},
+        }
+        study = SimpleNamespace(
+            world=SimpleNamespace(operators={"att": None, "skt": None}),
+            fig11_public_distance=lambda carrier: pings,
+            fig13_public_resolution=lambda carrier: resolution[carrier],
+        )
+        (result,) = verify_claims(study, claims=[_claim("C15")])
+        assert result.passed is False
+        assert "skt resolution: local 51.125 >= google 47.75" in result.evidence
+        assert "att resolution" not in result.evidence

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro import CellularDNSStudy, StudyConfig
 from repro.core.faults import BUNDLED_SCENARIOS, load_scenario
 from repro.core.world import WorldConfig
+from repro.measure import records
 
 #: Tiny-scale campaign goldens (device_scale=0.05, 4 days, 24 h
 #: interval).  A fault-free campaign must keep reproducing them byte
@@ -51,8 +52,15 @@ def _tiny_hash(seed: int, scenario=None) -> str:
 
 
 class TestByteIdentity:
+    @pytest.mark.parametrize("serializer", ["default", "stdlib"])
     @pytest.mark.parametrize("seed", sorted(TINY_GOLDEN_HASHES))
-    def test_fault_free_matches_the_pre_transport_golden(self, seed):
+    def test_fault_free_matches_the_pre_transport_golden(
+        self, seed, serializer, monkeypatch
+    ):
+        if serializer == "stdlib":
+            # Force the stdlib encoder fallback: the orjson fast path
+            # (when installed) and the fallback must write equal bytes.
+            monkeypatch.setattr(records, "_orjson_dumps", None)
         assert _tiny_hash(seed) == TINY_GOLDEN_HASHES[seed]
 
     def test_baseline_scenario_is_the_fault_free_engine(self):

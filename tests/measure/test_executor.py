@@ -1,4 +1,4 @@
-"""Adaptive executor selection (serial vs parallel vs sharded)."""
+"""Adaptive executor selection (serial vs sharded)."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from repro.measure.campaign import (
 class TestSelectExecutor:
     def test_explicit_requests_are_honoured(self):
         assert select_executor("serial", cpu_count=32, shard_count=6) == "serial"
-        assert select_executor("parallel", cpu_count=1, shard_count=6) == "parallel"
         assert select_executor("sharded", cpu_count=1, shard_count=1) == "sharded"
 
     def test_auto_never_multiprocess_on_one_core(self):
@@ -45,11 +44,12 @@ class TestSelectExecutor:
         assert select_executor("auto", cpu_count=0, shard_count=6) == "serial"
 
     def test_unknown_request_raises(self):
-        with pytest.raises(ConfigError):
-            select_executor("turbo")
+        for name in ("turbo", "parallel"):
+            with pytest.raises(ConfigError):
+                select_executor(name)
 
     def test_choices_constant_matches_cli(self):
-        assert EXECUTOR_CHOICES == ("auto", "serial", "parallel", "sharded")
+        assert EXECUTOR_CHOICES == ("auto", "serial", "sharded")
 
 
 class TestAmortizationDecisionTable:
@@ -200,18 +200,6 @@ class TestStudyExecutor:
         config.executor = "serial"
         study = CellularDNSStudy(config)
         assert study.executor == "serial"
-
-    def test_study_explicit_parallel(self):
-        from repro import CellularDNSStudy, StudyConfig
-        from repro.measure.campaign import ParallelCampaign
-
-        config = StudyConfig.smoke_scale()
-        config.executor = "parallel"
-        config.workers = 2
-        study = CellularDNSStudy(config)
-        assert study.executor == "parallel"
-        assert isinstance(study.campaign, ParallelCampaign)
-        assert study.campaign.workers == 2
 
     def test_study_explicit_sharded_with_shards(self):
         from repro import CellularDNSStudy, StudyConfig

@@ -1,10 +1,11 @@
 """Byte-identity of sub-carrier sharded execution.
 
-The contract under test extends ``test_parallel_campaign``: with
-range-scoped DNS caches, :class:`ShardedCampaign` may split a carrier's
-device population *mid-carrier* across worker tasks and still archive
-the exact bytes the serial walk produces — at any shard count, via the
-in-memory merge or the streaming JSONL spill.  The config here forces
+The contract under test extends the serial determinism tests in
+``test_campaign``: with range-scoped DNS caches, :class:`ShardedCampaign`
+may split a carrier's device population *mid-carrier* across worker
+tasks and still archive the exact bytes the serial walk produces — at
+any shard count, via ``run()`` or ``run_streaming()`` (both merge the
+workers' JSONL spill files).  The config here forces
 mid-carrier splits (``range_size=2`` over carriers of up to 5 devices)
 so every shard count exercises the cross-shard merge policy.
 """
@@ -132,6 +133,31 @@ class TestStreamingMerge:
             assert result["content_hash"] == serial_dataset.content_hash()
             loaded = Dataset.load(path)
         assert loaded.content_hash() == serial_dataset.content_hash()
+
+
+    def test_tail_reads_a_finished_shard_one_block_at_a_time(self, tmp_path):
+        """A shard that finished before the merge reached it stays on
+        disk: the parent holds one read block of it, not the file."""
+        import tracemalloc
+        from concurrent.futures import Future
+
+        from repro.measure.campaign import _TAIL_READ_BYTES, _tail_jsonl_lines
+
+        line = "x" * 99
+        count = 50 * _TAIL_READ_BYTES // 100
+        path = tmp_path / "shard-0000.jsonl"
+        path.write_text((line + "\n") * count)
+        finished = Future()
+        finished.set_result(count)
+        stream = _tail_jsonl_lines(str(path), finished)
+        tracemalloc.start()
+        try:
+            assert next(stream) == line
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * _TAIL_READ_BYTES
+        assert 1 + sum(1 for _ in stream) == count
 
 
 class TestFromShardStreams:

@@ -25,7 +25,6 @@ from repro.core.world import (
 from repro.measure.campaign import (
     Campaign,
     CampaignConfig,
-    ParallelCampaign,
     ShardedCampaign,
     resolve_mp_context,
 )
@@ -261,8 +260,8 @@ class TestWarmPoolLifecycle:
             assert campaign._executor is not None
         assert campaign._executor is None
 
-    def test_parallel_campaign_shares_the_lifecycle(self, serial_golden):
-        with ParallelCampaign(
+    def test_two_runs_share_one_pool(self, serial_golden):
+        with ShardedCampaign(
             build_world(WorldConfig(seed=2014)), _tiny_config(), workers=2
         ) as campaign:
             assert campaign.run().content_hash() == serial_golden
@@ -350,7 +349,7 @@ class TestMappingOrderIndependence:
             if reverse:
                 ranges = list(reversed(ranges))
             streams = [
-                campaign._execute(campaign.devices_in_ranges([item]))
+                list(campaign._iter_execute(campaign.devices_in_ranges([item])))
                 for item in ranges
             ]
             merged = list(heapq.merge(*streams, key=record_event_key))
