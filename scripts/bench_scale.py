@@ -74,6 +74,11 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
+    # The bounds measure the parent.  Fork-context pool workers would
+    # inherit an active trace and pay tracemalloc on every allocation of
+    # the simulation itself, so children stop tracing as they start.
+    os.register_at_fork(after_in_child=tracemalloc.stop)
+
     config = CampaignConfig(
         device_scale=args.scale,
         duration_days=args.days,

@@ -60,14 +60,21 @@ def _fig3_bands(study):
         curves = study.fig3_resolution_by_technology(carrier)
         if "LTE" not in curves:
             ok = False
+            evidence.append(f"{carrier}: no LTE curve")
             continue
+        lte = curves["LTE"].median
         others = [
-            ecdf.median for name, ecdf in curves.items()
+            (ecdf.median, name) for name, ecdf in curves.items()
             if name != "LTE" and len(ecdf) >= 10
         ]
-        if others and curves["LTE"].median >= min(others):
+        if others and lte >= min(others)[0]:
             ok = False
-        evidence.append(f"{carrier}: LTE p50 {curves['LTE'].median:.0f}ms")
+            fastest, band = min(others)
+            evidence.append(
+                f"{carrier}: LTE p50 {lte} >= {band} p50 {fastest}ms"
+            )
+        else:
+            evidence.append(f"{carrier}: LTE p50 {lte:.0f}ms")
     return ok, "; ".join(evidence)
 
 
@@ -96,13 +103,19 @@ def _fig4_hierarchy(study):
     ok = True
     for carrier in ("att", "sprint", "tmobile"):
         curves = study.fig4_resolver_distance(carrier)
-        if "external" not in curves or "client" not in curves:
+        absent = [name for name in ("external", "client") if name not in curves]
+        if absent:
             ok = False
+            evidence.append(f"{carrier}: no {' or '.join(absent)} curve")
             continue
-        gap = curves["external"].median - curves["client"].median
-        if gap <= 0:
+        external, client = curves["external"].median, curves["client"].median
+        if external <= client:
             ok = False
-        evidence.append(f"{carrier}: +{gap:.0f}ms")
+            evidence.append(
+                f"{carrier}: external p50 {external} <= client p50 {client}ms"
+            )
+        else:
+            evidence.append(f"{carrier}: +{external - client:.0f}ms")
     for carrier in ("verizon", "lgu"):
         if "external" in study.fig4_resolver_distance(carrier):
             ok = False

@@ -148,7 +148,7 @@ def bench_campaign(scale: Optional[BenchScale] = None) -> Dict[str, object]:
 
 
 def bench_workers(scale: Optional[BenchScale] = None) -> Dict[str, object]:
-    """Worker-pool economics: snapshot boots, pool reuse, merge overlap.
+    """Worker-pool economics: snapshot boots, pool reuse, repeat runs.
 
     Three measurements behind the warm-pool executor design:
 
@@ -160,12 +160,9 @@ def bench_workers(scale: Optional[BenchScale] = None) -> Dict[str, object]:
       :class:`~repro.measure.campaign.ShardedCampaign`; the second must
       reuse the first's live pool (``pool_stats``), paying zero
       interpreter spawns.
-    * **overlap advantage** — ``run_streaming`` with the tailing merge
-      (fold/serialize/hash advances while shards still execute) vs the
-      wait-then-merge reference path, in seconds.  The overlapped run
-      goes *first*, on the cold pool, so the advantage reported here is
-      the conservative bound; byte identity between the two runs is
-      asserted alongside.
+    * **cold vs warm run** — both streaming runs are timed: the first
+      on a cold pool, the second on the warm one.  Run tokens make
+      repeated runs idempotent, so the two must hash identically.
     """
     import tempfile
 
@@ -203,15 +200,11 @@ def bench_workers(scale: Optional[BenchScale] = None) -> Dict[str, object]:
             build_world(world_config), campaign_config, workers=workers
         ) as campaign:
             started = time.perf_counter()
-            overlapped = campaign.run_streaming(
-                os.path.join(tmpdir, "overlapped.jsonl"), overlap=True
-            )
-            overlapped_s = time.perf_counter() - started
+            first = campaign.run_streaming(os.path.join(tmpdir, "first.jsonl"))
+            first_s = time.perf_counter() - started
             started = time.perf_counter()
-            reference = campaign.run_streaming(
-                os.path.join(tmpdir, "reference.jsonl"), overlap=False
-            )
-            reference_s = time.perf_counter() - started
+            second = campaign.run_streaming(os.path.join(tmpdir, "second.jsonl"))
+            second_s = time.perf_counter() - started
             pool_stats = dict(campaign.pool_stats)
             shards = campaign.shards
     finally:
@@ -230,10 +223,9 @@ def bench_workers(scale: Optional[BenchScale] = None) -> Dict[str, object]:
         "shards": shards,
         "pools_created": pool_stats["created"],
         "pool_reuse_hits": pool_stats["reused"],
-        "overlapped_s": round(overlapped_s, 3),
-        "reference_s": round(reference_s, 3),
-        "overlap_advantage_s": round(reference_s - overlapped_s, 3),
-        "hash_match": overlapped["content_hash"] == reference["content_hash"],
+        "first_run_s": round(first_s, 3),
+        "second_run_s": round(second_s, 3),
+        "hash_match": first["content_hash"] == second["content_hash"],
     }
 
 
@@ -475,23 +467,18 @@ def bench_scheduler(scale: Optional[BenchScale] = None) -> Dict[str, object]:
       event per device, pop-then-push-next until empty), with the probe
       work stubbed out, so the number is the scheduling machinery alone;
     * **shard merge** — peak traced allocation of packaging one campaign
-      from spilled shard JSONL two ways: an in-memory merge (parse every
-      shard back to records, ``Dataset.from_shard_streams``, hash) vs
-      the streaming path the sharded executor's parent takes
-      (``merge_shard_jsonl`` over the files, holding one line block —
-      what ``run_streaming()`` holds).  Both must land
-      on the serial content hash; the streaming peak is the number that
-      makes million-experiment campaigns packageable on a laptop.
+      from spilled shard JSONL the way the sharded executor's parent
+      does (``merge_shard_jsonl`` over the files, holding one pending
+      line per shard — what ``run_streaming()`` holds), next to the
+      spill files' total size.  The merge must land on the serial
+      content hash; its peak is the number that makes
+      million-experiment campaigns packageable on a laptop.
     """
     import tempfile
     import tracemalloc
 
     from repro.measure.campaign import Campaign, CampaignConfig
-    from repro.measure.records import (
-        Dataset,
-        merge_shard_jsonl,
-        record_event_key,
-    )
+    from repro.measure.records import merge_shard_jsonl, record_event_key
     from repro.measure.scheduler import ExperimentSchedule, ProbeEventQueue
 
     gc.collect()
@@ -518,7 +505,7 @@ def bench_scheduler(scale: Optional[BenchScale] = None) -> Dict[str, object]:
     drain_s = time.perf_counter() - started
 
     # Shard merge: one smoke campaign, split into four event-ordered
-    # shards (the executor's output shape), packaged both ways.
+    # shards (the executor's output shape), then merged.
     campaign = Campaign(
         build_world(WorldConfig(seed=scale.seed)),
         CampaignConfig(
@@ -544,6 +531,7 @@ def bench_scheduler(scale: Optional[BenchScale] = None) -> Dict[str, object]:
                     handle.write(record.to_json_line() + "\n")
             paths.append(path)
         del shards, dataset, campaign
+        spill_bytes = sum(os.path.getsize(path) for path in paths)
 
         def lines_of(path):
             with open(path, "r", encoding="utf-8") as handle:
@@ -551,19 +539,6 @@ def bench_scheduler(scale: Optional[BenchScale] = None) -> Dict[str, object]:
                     line = line.strip()
                     if line:
                         yield line
-
-        # In-memory packaging: every shard's records as objects, the
-        # merged dataset, and the hash pass.
-        gc.collect()
-        tracemalloc.start()
-        shard_datasets = [Dataset.load(path) for path in paths]
-        merged = Dataset.from_shard_streams(
-            iter(shard.experiments) for shard in shard_datasets
-        )
-        in_memory_hash = merged.content_hash()
-        in_memory_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        del merged, shard_datasets
 
         # Streaming packaging: what run_streaming()'s parent holds — one
         # pending line per shard plus the write block.
@@ -583,12 +558,9 @@ def bench_scheduler(scale: Optional[BenchScale] = None) -> Dict[str, object]:
         "queue_events_per_s": round(events / drain_s),
         "merge_experiments": count,
         "merge_shards": shard_count,
-        "in_memory_peak_kb": round(in_memory_peak / 1024, 1),
+        "spill_kb": round(spill_bytes / 1024, 1),
         "streaming_peak_kb": round(streaming_peak / 1024, 1),
-        "streaming_memory_ratio": round(
-            in_memory_peak / streaming_peak, 1
-        ) if streaming_peak else 0.0,
-        "hash_match": serial_hash == in_memory_hash == streaming_hash,
+        "hash_match": serial_hash == streaming_hash,
     }
 
 
@@ -1103,10 +1075,9 @@ def format_report(report: Dict[str, object]) -> str:
             f"{workers['snapshot_bytes']}b snapshot) | "
             f"ctx {workers['mp_context']} | pools created "
             f"{workers['pools_created']}, reused "
-            f"{workers['pool_reuse_hits']} | overlap advantage "
-            f"{workers['overlap_advantage_s']}s "
-            f"(overlapped {workers['overlapped_s']}s vs reference "
-            f"{workers['reference_s']}s) | "
+            f"{workers['pool_reuse_hits']} | runs "
+            f"{workers['first_run_s']}s cold, "
+            f"{workers['second_run_s']}s warm | "
             f"hash match: {workers['hash_match']}"
             if workers
             else "workers: skipped"
@@ -1134,9 +1105,8 @@ def format_report(report: Dict[str, object]) -> str:
         (
             f"scheduler: {scheduler['queue_events_per_s']} events/s "
             f"({scheduler['queue_events']} drained) | merge peak "
-            f"{scheduler['streaming_peak_kb']}kb streaming vs "
-            f"{scheduler['in_memory_peak_kb']}kb in-memory "
-            f"({scheduler['streaming_memory_ratio']}x) over "
+            f"{scheduler['streaming_peak_kb']}kb over "
+            f"{scheduler['spill_kb']}kb of spills, "
             f"{scheduler['merge_experiments']} experiments / "
             f"{scheduler['merge_shards']} shards | "
             f"hash match: {scheduler['hash_match']}"

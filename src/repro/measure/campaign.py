@@ -50,11 +50,16 @@ The sharded executor runs a *warm worker pool*:
   as far as every shard's flushed frontier allows, so only the tail of
   the merge waits for the slowest shard.
 
-Workers never pickle records back to the parent: every shard spills
-its records to JSONL as they are produced and the parent k-way merges
-the spill files by event key straight to the output path, so peak
-memory is O(shards), not O(campaign).  :meth:`ShardedCampaign.run`
-is that same stream written to a temporary archive and loaded back.
+Workers never pickle records back to the parent.  One task,
+:meth:`Campaign.spill_shard`, is the only way a shard reaches disk: it
+runs a task's ranges through the backend's
+:class:`~repro.measure.backends.ShardWriter`.  Streaming runs spill
+JSONL into a temporary directory and tail the writer's unsealed
+``.tmp`` file; checkpointed runs (:mod:`repro.measure.checkpoint`)
+commit the sealed file.  The parent k-way merges spills by event key
+straight to the output path, so peak memory is O(shards), not
+O(campaign).  :meth:`ShardedCampaign.run` is that same stream written
+to a temporary archive and loaded back.
 """
 
 from __future__ import annotations
@@ -65,14 +70,14 @@ import shutil
 import sys
 import tempfile
 import time
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cellnet.device import MobileDevice
 from repro.cellnet.mobility import MobilityModel
 from repro.core.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
-from repro.core.errors import ConfigError
+from repro.core.errors import ConfigError, ReproError
 from repro.core.world import (
     World,
     WorldConfig,
@@ -297,6 +302,37 @@ class DeviceRange:
     @property
     def scope(self) -> str:
         return f"{self.carrier_key}/r{self.index}"
+
+
+class CampaignInterrupted(ReproError):
+    """A checkpointed run stopped before every shard committed.
+
+    Raised for injected crashes (:class:`CrashPoint`), dead worker
+    processes, and ``stop_after_shards`` interrupts.  Everything
+    committed so far is durable; re-run with ``resume=True`` to finish.
+    """
+
+    def __init__(self, message: str, committed: int = 0, total: int = 0):
+        super().__init__(message)
+        self.committed = committed
+        self.total = total
+
+
+@dataclass(frozen=True)
+class CrashPoint:
+    """Deterministic crash injection for crash/resume tests and benches.
+
+    The shard task running ``shard`` stops after ``after_records``
+    appended records: with ``hard_kill`` the worker process flushes its
+    partial spill and dies with ``os._exit`` (no cleanup, no exception
+    propagation — the honest simulation of a killed worker, leaving a
+    partial shard on disk); without it the runner raises
+    :class:`CampaignInterrupted` in-process after flushing.
+    """
+
+    shard: int
+    after_records: int
+    hard_kill: bool = False
 
 
 @dataclass
@@ -549,8 +585,6 @@ class Campaign:
         where ``metadata`` is the metadata dict the output file carries
         (record count included).
         """
-        from repro.measure.backends import resolve_backend
-
         self._prepare_serial_run()
         if sink is None:
             lines = (
@@ -566,10 +600,28 @@ class Campaign:
                     yield record.to_json_line()
 
             lines = _fold_and_serialise()
-        count, digest = resolve_backend(backend, output_path).write_archive_lines(
-            output_path, [lines], metadata=self._streaming_metadata()
-        )
+        return self._write_archive(output_path, [lines], backend)
+
+    def _write_archive(
+        self,
+        output_path: str,
+        line_streams: Iterable[Iterator[str]],
+        backend: Optional[str] = None,
+        sink=None,
+    ) -> Dict[str, object]:
+        """K-way merge ordered line streams into the archive at
+        ``output_path``; ``sink.ingest_line`` (if given) sees each
+        merged line.  Returns ``{"experiments", "content_hash", "path",
+        "metadata"}``."""
+        from repro.measure.backends import resolve_backend
+
         metadata = self._streaming_metadata()
+        count, digest = resolve_backend(backend, output_path).write_archive_lines(
+            output_path,
+            line_streams,
+            metadata=metadata,
+            sink=sink.ingest_line if sink is not None else None,
+        )
         metadata["experiments"] = count
         return {
             "experiments": count,
@@ -577,6 +629,61 @@ class Campaign:
             "path": output_path,
             "metadata": metadata,
         }
+
+    # -- shards ---------------------------------------------------------------
+
+    @property
+    def pooled(self) -> bool:
+        """Whether shard tasks run in a worker pool (else in-process)."""
+        return False
+
+    def shard_tasks(self) -> List[List[DeviceRange]]:
+        """The shard plan: one task holding every device range (a serial
+        campaign is still checkpointable, as a single durable unit)."""
+        return [self.config.device_ranges(list(self.world.operators))]
+
+    def spill_shard(
+        self,
+        shard: int,
+        ranges: Sequence[DeviceRange],
+        path: str,
+        backend: str = "jsonl",
+        crash: Optional[CrashPoint] = None,
+    ) -> Tuple[int, str]:
+        """Run one shard task's ranges into ``path + '.tmp'``, sealed.
+
+        The only way a shard reaches disk: records stream through the
+        backend's :class:`~repro.measure.backends.ShardWriter` as they
+        are produced (O(1) records in memory), so a reader may tail the
+        ``.tmp`` file while the task runs.  Returns ``(records,
+        sha256)`` once sealed; committing (rename + manifest) is the
+        caller's decision, so a dying worker can never leave a
+        committed-looking file.  ``crash`` is the crash-injection hook
+        of the checkpoint tests and benches.
+        """
+        from repro.measure.backends import get_backend
+
+        writer = get_backend(backend).open_shard(path)
+        crashing = crash is not None and crash.shard == shard
+        try:
+            for record in self._iter_execute(self.devices_in_ranges(ranges)):
+                writer.append(record.to_json_line())
+                if crashing and writer.records >= crash.after_records:
+                    writer.flush()
+                    if crash.hard_kill:
+                        # A killed worker: partial spill bytes are on
+                        # disk, no exception, no cleanup, no commit.
+                        os._exit(9)
+                    raise CampaignInterrupted(
+                        f"injected crash in shard {shard} after "
+                        f"{writer.records} records",
+                    )
+        except BaseException:
+            # Close without sealing: the tmp spill stays on disk exactly
+            # as a crash would leave it (resume re-runs the shard).
+            writer.abort()
+            raise
+        return writer.seal()
 
 
 # -- worker processes --------------------------------------------------------
@@ -637,44 +744,10 @@ def _worker_campaign(run_token: int) -> Campaign:
     return campaign
 
 
-#: Serialized lines buffered per write while spilling shard output.
-_SPILL_BLOCK_LINES = 256
-
-
-def _spill_shard_ranges(
-    run_token: int, ranges: Sequence[DeviceRange], path: str
-) -> int:
-    """Worker task: run one group of ranges, spilling JSONL to ``path``.
-
-    Records are serialised and written as they are produced, so worker
-    memory stays O(1) records regardless of shard size — the streaming
-    half of the O(shards) packaging bound.  Writes land in whole-line
-    blocks, which is what lets the parent tail the file mid-run for
-    the overlapped merge.
-    """
-    campaign = _worker_campaign(run_token)
-    count = 0
-    buffer: List[str] = []
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in campaign._iter_execute(campaign.devices_in_ranges(ranges)):
-            buffer.append(record.to_json_line())
-            count += 1
-            if len(buffer) >= _SPILL_BLOCK_LINES:
-                handle.write("\n".join(buffer) + "\n")
-                handle.flush()
-                buffer.clear()
-        if buffer:
-            handle.write("\n".join(buffer) + "\n")
-    return count
-
-
-def _iter_jsonl_lines(path: str) -> Iterator[str]:
-    """Yield non-empty lines of a spill file, newline-stripped."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if line:
-                yield line
+def _spill_task(run_token: int, *args) -> Tuple[int, str]:
+    """Pool entry point: this worker's campaign runs
+    :meth:`Campaign.spill_shard` for one shard task."""
+    return _worker_campaign(run_token).spill_shard(*args)
 
 
 #: Poll cadence while tailing a still-running shard's spill file.
@@ -697,11 +770,11 @@ def _tail_jsonl_lines(path: str, future) -> Iterator[str]:
     the producer is still running that pull blocks here, polling for
     the next flushed block — which is exactly the safety condition (a
     line is emitted only once every shard is known to be past its
-    key), so merged bytes are identical to the wait-then-merge path.
+    key), so merged bytes are identical to merging the finished files.
 
-    Only complete (newline-terminated) lines are consumed — the worker
-    flushes whole-line blocks.  A producer error propagates from here
-    once observed.
+    Only complete (newline-terminated) lines are consumed; a partial
+    line waits in ``pending`` for the rest of its bytes.  A producer
+    error propagates from here once observed.
     """
     offset = 0
     pending = b""
@@ -752,7 +825,8 @@ class ShardedCampaign(Campaign):
     context manager; garbage collection closes without waiting as a
     backstop.
 
-    ``workers=0`` falls back to the serial loop.
+    ``workers=0`` (or a single shard) falls back to the serial loop
+    (:attr:`pooled` is False).
     """
 
     def __init__(
@@ -829,6 +903,10 @@ class ShardedCampaign(Campaign):
 
     # -- execution ------------------------------------------------------------
 
+    @property
+    def pooled(self) -> bool:
+        return self.workers > 0 and self.shards > 1
+
     def shard_tasks(self) -> List[List[DeviceRange]]:
         """Group consecutive ranges into ``shards`` balanced tasks.
 
@@ -868,7 +946,7 @@ class ShardedCampaign(Campaign):
         loaded back, so records never cross the process boundary as
         pickled objects.
         """
-        if self.workers <= 0 or self.shards <= 1:
+        if not self.pooled:
             return super().run()
         with tempfile.TemporaryDirectory(prefix="repro-run-") as tmpdir:
             path = os.path.join(tmpdir, "campaign.jsonl")
@@ -876,35 +954,30 @@ class ShardedCampaign(Campaign):
             return Dataset.load(path)
 
     def run_streaming(
-        self,
-        output_path: str,
-        sink=None,
-        overlap: bool = True,
-        backend: Optional[str] = None,
+        self, output_path: str, sink=None, backend: Optional[str] = None
     ) -> Dict[str, object]:
         """Run all shards and stream the merged dataset to a file.
 
-        Workers spill event-ordered JSONL per shard; the parent k-way
-        merges the spill files straight to ``output_path``, hashing
-        record lines as they pass — peak parent memory is O(shards)
-        (one pending line per spill file), never O(campaign).  With
-        ``overlap`` (the default) the merge *tails* the spill files
-        while shards still execute: every record the flushed frontiers
-        prove safe is folded, hashed and written immediately, so only
-        the tail of the merge waits for the slowest shard —
-        ``overlap=False`` keeps the wait-then-merge reference path (the
-        benchmark measures the advantage between the two; bytes are
-        identical).  The metadata line is appended after the records
-        (loaders accept it at any position); record bytes — and
-        therefore :meth:`Dataset.content_hash` — are identical to
+        Every shard task runs :meth:`Campaign.spill_shard` in the warm
+        pool, spilling event-ordered JSONL into a temporary directory;
+        the parent *tails* the writers' unsealed ``.tmp`` files and
+        k-way merges them straight to ``output_path`` while shards still
+        execute, hashing record lines as they pass.  Every record the
+        flushed frontiers prove safe is folded, hashed and written
+        immediately, so only the tail of the merge waits for the slowest
+        shard, and peak parent memory is O(shards) (one read block per
+        spill file), never O(campaign).  The spills are never committed.
+        The metadata line is appended after the records (loaders accept
+        it at any position); record bytes — and therefore
+        :meth:`Dataset.content_hash` — are identical to
         :meth:`Campaign.run`.
 
         ``sink`` is the pipelined-analysis hook: on this sharded path
         its ``ingest_line(line)`` method is fed every merged line as it
         is written (each line decoded exactly once, in the parent),
         building the analysis projections with zero re-read of
-        ``output_path``.  On the serial fallback the sink folds record
-        objects directly — zero decodes (see
+        ``output_path``.  On the in-process fallback the sink folds
+        record objects directly — zero decodes (see
         :meth:`Campaign.run_streaming`).
 
         ``backend`` selects the final archive's on-disk layout (see
@@ -914,51 +987,21 @@ class ShardedCampaign(Campaign):
 
         Returns ``{"experiments", "content_hash", "path", "metadata"}``.
         """
-        from repro.measure.backends import resolve_backend
-
-        if self.workers <= 0 or self.shards <= 1:
+        if not self.pooled:
             return super().run_streaming(output_path, sink, backend=backend)
-        tasks = self.shard_tasks()
+        token = self._next_run_token()
+        pool = self._ensure_pool()
         tmpdir = tempfile.mkdtemp(prefix="repro-shards-")
         try:
-            paths = [
-                os.path.join(tmpdir, f"shard-{i:04d}.jsonl")
-                for i in range(len(tasks))
-            ]
-            token = self._next_run_token()
-            pool = self._ensure_pool()
-            futures = [
-                pool.submit(_spill_shard_ranges, token, task, path)
-                for task, path in zip(tasks, paths)
-            ]
-            if overlap:
-                streams = (
-                    _tail_jsonl_lines(path, future)
-                    for path, future in zip(paths, futures)
-                )
-            else:
-                wait(futures, return_when=FIRST_EXCEPTION)
-                for future in futures:
-                    future.result()
-                streams = (_iter_jsonl_lines(path) for path in paths)
-            count, digest = resolve_backend(
-                backend, output_path
-            ).write_archive_lines(
-                output_path,
-                streams,
-                metadata=self._streaming_metadata(),
-                sink=sink.ingest_line if sink is not None else None,
-            )
+            streams = []
+            for shard, task in enumerate(self.shard_tasks()):
+                path = os.path.join(tmpdir, f"shard-{shard:04d}.jsonl")
+                future = pool.submit(_spill_task, token, shard, task, path)
+                # The writer's unsealed spill; sealing only fsyncs it.
+                streams.append(_tail_jsonl_lines(path + ".tmp", future))
+            return self._write_archive(output_path, streams, backend, sink)
         finally:
             shutil.rmtree(tmpdir, ignore_errors=True)
-        metadata = self._streaming_metadata()
-        metadata["experiments"] = count
-        return {
-            "experiments": count,
-            "content_hash": digest,
-            "path": output_path,
-            "metadata": metadata,
-        }
 
     def _streaming_metadata(self) -> Dict[str, object]:
         metadata = super()._streaming_metadata()

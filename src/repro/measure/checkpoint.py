@@ -5,8 +5,12 @@ reproduction cannot lose hour six of a long simulated campaign to a
 crash at hour seven.  This module turns a campaign run into a sequence
 of *durable shard commits* against a :class:`CheckpointStore`:
 
-* each shard task's records stream through the selected backend's
-  :class:`~repro.measure.backends.ShardWriter` into ``shard-NNNN.<ext>.tmp``;
+* each shard task runs :meth:`~repro.measure.campaign.Campaign.spill_shard`
+  — the same spill task sharded streaming runs use — whose records
+  stream through the selected backend's
+  :class:`~repro.measure.backends.ShardWriter` into
+  ``shard-NNNN.<ext>.tmp``, in the campaign's warm pool or in-process
+  as :attr:`~repro.measure.campaign.Campaign.pooled` decides;
 * on completion the file is fsync'd, atomically renamed into place and
   a **manifest sidecar** (shard ranges, record count, incremental
   SHA-256 over the canonical lines) is written with the same
@@ -45,51 +49,20 @@ import json
 import os
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.errors import DatasetError, ReproError
+from repro.core.errors import DatasetError
 from repro.measure.backends import DatasetBackend, get_backend, write_atomic
 from repro.measure.campaign import (
     Campaign,
+    CampaignInterrupted,
+    CrashPoint,
     DeviceRange,
-    ShardedCampaign,
-    _worker_campaign,
+    _spill_task,
 )
 
 #: Manifest schema version (campaign manifest and shard sidecars).
 MANIFEST_VERSION = 1
-
-
-class CampaignInterrupted(ReproError):
-    """A checkpointed run stopped before every shard committed.
-
-    Raised for injected crashes (:class:`CrashPoint`), dead worker
-    processes, and ``stop_after_shards`` interrupts.  Everything
-    committed so far is durable; re-run with ``resume=True`` to finish.
-    """
-
-    def __init__(self, message: str, committed: int = 0, total: int = 0):
-        super().__init__(message)
-        self.committed = committed
-        self.total = total
-
-
-@dataclass(frozen=True)
-class CrashPoint:
-    """Deterministic crash injection for crash/resume tests and benches.
-
-    The shard task running ``shard`` stops after ``after_records``
-    appended records: with ``hard_kill`` the worker process flushes its
-    partial spill and dies with ``os._exit`` (no cleanup, no exception
-    propagation — the honest simulation of a killed worker, leaving a
-    partial shard on disk); without it the runner raises
-    :class:`CampaignInterrupted` in-process after flushing.
-    """
-
-    shard: int
-    after_records: int
-    hard_kill: bool = False
 
 
 def _range_descriptor(item: DeviceRange) -> List[object]:
@@ -123,16 +96,6 @@ def campaign_fingerprint(
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def campaign_shard_tasks(campaign: Campaign) -> List[List[DeviceRange]]:
-    """The campaign's shard plan: its own for the sharded executor, one
-    all-ranges task for a serial campaign (still checkpointable — a
-    single durable unit)."""
-    if isinstance(campaign, ShardedCampaign):
-        return campaign.shard_tasks()
-    ranges = campaign.config.device_ranges(list(campaign.world.operators))
-    return [ranges]
 
 
 class ShardState:
@@ -316,56 +279,48 @@ def _fsync_parent(path: str) -> None:
 # -- shard execution ----------------------------------------------------------
 
 
-def _spill_checkpoint_shard(
-    run_token: int,
-    shard: int,
-    ranges: Sequence[DeviceRange],
-    path: str,
-    backend_name: str,
-    crash: Optional[CrashPoint] = None,
-) -> Tuple[int, str]:
-    """Worker task: run one shard's ranges through a backend ShardWriter.
-
-    Streams records into ``path + '.tmp'`` and returns ``(records,
-    sha256)`` once sealed; the parent performs the commit (rename +
-    manifest) so a dying worker can never leave a committed-looking
-    file.  Runs in pool workers via the campaign's warm-pool machinery
-    and in-process for serial executors — the same code path, so crash
-    semantics and bytes are identical.
-    """
-    campaign = _worker_campaign(run_token)
-    return _spill_shard_with(campaign, shard, ranges, path, backend_name, crash)
-
-
-def _spill_shard_with(
+def _sealed_shards(
     campaign: Campaign,
-    shard: int,
-    ranges: Sequence[DeviceRange],
-    path: str,
-    backend_name: str,
+    store: CheckpointStore,
+    tasks: Sequence[Sequence[DeviceRange]],
+    missing: Sequence[int],
     crash: Optional[CrashPoint] = None,
-) -> Tuple[int, str]:
-    writer = get_backend(backend_name).open_shard(path)
-    crashing = crash is not None and crash.shard == shard
+) -> Iterator[Tuple[int, Tuple[int, str]]]:
+    """Run the given shards; yield ``(shard, (records, sha256))`` as
+    each one seals.
+
+    A pooled campaign ships every shard to its warm worker pool and
+    yields in completion order; otherwise the shards run in-process, in
+    order, on one pristine-prepared campaign (ranges never share cache
+    scope, so any subset reproduces the uninterrupted stream's bytes).
+    Closing the generator early drops queued shards and lets running
+    ones finish their (uncommitted, harmless) spills, so the warm pool
+    stays reusable for a resume run.
+    """
+    def spill_args(shard: int) -> tuple:
+        return shard, tasks[shard], store.shard_path(shard), store.backend.name, crash
+
+    if not campaign.pooled:
+        campaign._prepare_serial_run()
+        for shard in missing:
+            yield shard, campaign.spill_shard(*spill_args(shard))
+        return
+    token = campaign._next_run_token()
+    pool = campaign._ensure_pool()
+    futures = {
+        pool.submit(_spill_task, token, *spill_args(shard)): shard
+        for shard in missing
+    }
+    pending = set(futures)
     try:
-        for record in campaign._iter_execute(campaign.devices_in_ranges(ranges)):
-            writer.append(record.to_json_line())
-            if crashing and writer.records >= crash.after_records:
-                writer.flush()
-                if crash.hard_kill:
-                    # A killed worker: partial spill bytes are on disk,
-                    # no exception, no cleanup, no commit.
-                    os._exit(9)
-                raise CampaignInterrupted(
-                    f"injected crash in shard {shard} after "
-                    f"{writer.records} records",
-                )
-    except BaseException:
-        # Close without sealing: the tmp spill stays on disk exactly as
-        # a crash would leave it (resume re-runs the shard).
-        writer.abort()
-        raise
-    return writer.seal()
+        while pending:
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                yield futures[future], future.result()
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)
 
 
 def _run_missing_shards(
@@ -378,12 +333,8 @@ def _run_missing_shards(
 ) -> int:
     """Execute and commit the given shards; returns how many committed.
 
-    Pool mode (a :class:`ShardedCampaign` with workers) ships shards to
-    the campaign's warm worker pool and commits each as its future
-    completes; serial mode runs them in-process on one
-    pristine-prepared campaign (ranges never share cache scope, so any
-    subset reproduces the uninterrupted stream's bytes).  Either a
-    :class:`CrashPoint` firing or ``stop_after_shards`` raises
+    Each shard is committed as it seals.  Either a :class:`CrashPoint`
+    firing, a dead worker process or ``stop_after_shards`` raises
     :class:`CampaignInterrupted` with everything already committed left
     durable on disk.
     """
@@ -391,48 +342,12 @@ def _run_missing_shards(
         return 0
     budget = len(missing) if stop_after_shards is None else stop_after_shards
     committed = 0
-    use_pool = isinstance(campaign, ShardedCampaign) and campaign.workers > 0
-    if not use_pool:
-        campaign._prepare_serial_run()
-        for shard in missing:
-            if committed >= budget:
-                raise CampaignInterrupted(
-                    f"stopped after {committed} shard commits",
-                    committed=committed, total=len(tasks),
-                )
-            records, sha = _spill_shard_with(
-                campaign, shard, tasks[shard], store.shard_path(shard),
-                store.backend.name, crash,
-            )
+    sealed = _sealed_shards(campaign, store, tasks, missing, crash)
+    try:
+        for shard, (records, sha) in sealed:
             store.commit_shard(shard, tasks[shard], records, sha)
             committed += 1
-        return committed
-
-    token = campaign._next_run_token()
-    pool = campaign._ensure_pool()
-    futures = {
-        pool.submit(
-            _spill_checkpoint_shard, token, shard, tasks[shard],
-            store.shard_path(shard), store.backend.name, crash,
-        ): shard
-        for shard in missing
-    }
-    pending = set(futures)
-    try:
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                shard = futures[future]
-                records, sha = future.result()
-                store.commit_shard(shard, tasks[shard], records, sha)
-                committed += 1
-            if committed >= budget and pending:
-                # Interrupt: drop queued shards, let running ones
-                # finish their (uncommitted, harmless) spills so the
-                # warm pool stays reusable for the resume run.
-                for future in pending:
-                    future.cancel()
-                wait(pending)
+            if committed >= budget and committed < len(missing):
                 raise CampaignInterrupted(
                     f"stopped after {committed} shard commits",
                     committed=committed, total=len(tasks),
@@ -447,13 +362,8 @@ def _run_missing_shards(
             f"pending shards committed: {exc}",
             committed=committed, total=len(tasks),
         ) from exc
-    except CampaignInterrupted:
-        raise
-    except BaseException:
-        for future in pending:
-            future.cancel()
-        wait(pending)
-        raise
+    finally:
+        sealed.close()
     return committed
 
 
@@ -463,31 +373,26 @@ def _merge_committed(
     output_path: str,
     shard_count: int,
     sink=None,
-) -> Tuple[int, str, Dict[str, object]]:
+) -> Dict[str, object]:
     """K-way merge every committed shard into the final archive."""
     backend = store.backend
-    streams = (
-        backend.iter_lines(store.shard_path(shard))
-        for shard in range(shard_count)
-    )
-    count, digest = backend.write_archive_lines(
+    result = campaign._write_archive(
         output_path,
-        streams,
-        metadata=campaign._streaming_metadata(),
-        sink=sink.ingest_line if sink is not None else None,
+        (backend.iter_lines(store.shard_path(shard)) for shard in range(shard_count)),
+        backend.name,
+        sink,
     )
     expected = 0
     for shard in range(shard_count):
         manifest = store.read_shard_manifest(shard)
         expected += int(manifest["records"]) if manifest else 0
-    if count != expected:
+    if result["experiments"] != expected:
         raise DatasetError(
-            f"merged archive holds {count} records but shard manifests "
-            f"promise {expected} — refusing to trust the merge"
+            f"merged archive holds {result['experiments']} records but "
+            f"shard manifests promise {expected} — refusing to trust the "
+            f"merge"
         )
-    metadata = campaign._streaming_metadata()
-    metadata["experiments"] = count
-    return count, digest, metadata
+    return result
 
 
 def default_checkpoint_dir(output_path: str) -> str:
@@ -534,7 +439,7 @@ def run_checkpointed(
         checkpoint_dir or default_checkpoint_dir(output_path),
         get_backend(backend),
     )
-    tasks = campaign_shard_tasks(campaign)
+    tasks = campaign.shard_tasks()
     fingerprint = campaign_fingerprint(campaign, tasks, store.backend)
 
     if store.exists():
@@ -572,18 +477,13 @@ def run_checkpointed(
         campaign, store, tasks, missing,
         crash=crash, stop_after_shards=stop_after_shards,
     )
-    count, digest, metadata = _merge_committed(
-        campaign, store, output_path, len(tasks), sink=sink
+    result = _merge_committed(campaign, store, output_path, len(tasks), sink)
+    result.update(
+        resumed_shards=len(resumed),
+        executed_shards=executed,
+        total_shards=len(tasks),
     )
-    return {
-        "experiments": count,
-        "content_hash": digest,
-        "path": output_path,
-        "metadata": metadata,
-        "resumed_shards": len(resumed),
-        "executed_shards": executed,
-        "total_shards": len(tasks),
-    }
+    return result
 
 
 class ReconcileReport:
@@ -646,7 +546,7 @@ def reconcile(
             f"no campaign manifest under {store.directory!r}; nothing to "
             f"reconcile (run with checkpoints first)"
         )
-    tasks = campaign_shard_tasks(campaign)
+    tasks = campaign.shard_tasks()
     fingerprint = campaign_fingerprint(campaign, tasks, store.backend)
     manifest = store.read_manifest()
     if manifest.get("fingerprint") != fingerprint:
@@ -671,20 +571,9 @@ def reconcile(
         rows.append(state)
 
     _run_missing_shards(campaign, store, tasks, bad)
-    count, digest, metadata = _merge_committed(
-        campaign, store, output_path, len(tasks), sink=sink
-    )
-    return ReconcileReport(
-        rows,
-        {
-            "experiments": count,
-            "content_hash": digest,
-            "path": output_path,
-            "metadata": metadata,
-            "healed_shards": len(bad),
-            "total_shards": len(tasks),
-        },
-    )
+    result = _merge_committed(campaign, store, output_path, len(tasks), sink)
+    result.update(healed_shards=len(bad), total_shards=len(tasks))
+    return ReconcileReport(rows, result)
 
 
 __all__ = [
@@ -694,7 +583,6 @@ __all__ = [
     "ReconcileReport",
     "ShardState",
     "campaign_fingerprint",
-    "campaign_shard_tasks",
     "default_checkpoint_dir",
     "reconcile",
     "run_checkpointed",

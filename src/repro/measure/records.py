@@ -1113,26 +1113,6 @@ class Dataset:
         return count
 
     @classmethod
-    def from_shard_streams(
-        cls,
-        streams: Iterable[Iterable["ExperimentRecord"]],
-        metadata: Optional[Dict[str, object]] = None,
-    ) -> "Dataset":
-        """Merge per-shard record streams into one ordered dataset.
-
-        Each stream must already be in probe-event-key order (any
-        shard executor's output is); the k-way merge interleaves them
-        into the exact global order the serial campaign produces, so
-        the resulting :meth:`content_hash` equals the serial run's.
-        Streams may be lazy iterators — only one pending record per
-        stream is held beyond the output list itself.
-        """
-        return cls(
-            experiments=list(heapq.merge(*streams, key=record_event_key)),
-            metadata=dict(metadata or {}),
-        )
-
-    @classmethod
     def load_jsonl(
         cls, lines: Iterable[str], allow_truncated: bool = False
     ) -> "Dataset":

@@ -15,6 +15,17 @@ def _claim(claim_id):
     return next(claim for claim in PAPER_CLAIMS if claim.claim_id == claim_id)
 
 
+class _Curve:
+    """An ECDF stand-in: a median and a sample count."""
+
+    def __init__(self, median, samples=50):
+        self.median = median
+        self.samples = samples
+
+    def __len__(self):
+        return self.samples
+
+
 class TestClaimList:
     def test_seventeen_claims(self):
         assert len(PAPER_CLAIMS) == 17
@@ -81,3 +92,56 @@ class TestFailingEvidence:
         assert result.passed is False
         assert "skt resolution: local 51.125 >= google 47.75" in result.evidence
         assert "att resolution" not in result.evidence
+
+    def test_c2_names_a_carrier_with_no_lte_curve(self):
+        curves = {
+            "att": {"LTE": _Curve(40.5), "3G": _Curve(80.0)},
+            "verizon": {"3G": _Curve(90.0)},
+            "skt": {"LTE": _Curve(30.0)},
+        }
+        study = SimpleNamespace(
+            fig3_resolution_by_technology=lambda carrier: curves[carrier]
+        )
+        (result,) = verify_claims(study, claims=[_claim("C2")])
+        assert result.passed is False
+        assert "verizon: no LTE curve" in result.evidence
+
+    def test_c2_names_the_band_lte_lost_to_unrounded(self):
+        curves = {
+            "att": {"LTE": _Curve(40.5), "3G": _Curve(80.0)},
+            "verizon": {"LTE": _Curve(45.0), "3G": _Curve(90.0)},
+            "skt": {"LTE": _Curve(61.5), "HSPA": _Curve(58.25), "3G": _Curve(70.0)},
+        }
+        study = SimpleNamespace(
+            fig3_resolution_by_technology=lambda carrier: curves[carrier]
+        )
+        (result,) = verify_claims(study, claims=[_claim("C2")])
+        assert result.passed is False
+        assert "skt: LTE p50 61.5 >= HSPA p50 58.25ms" in result.evidence
+
+    def test_c5_names_the_missing_curve(self):
+        curves = {
+            "att": {"external": _Curve(30.0), "client": _Curve(10.0)},
+            "sprint": {"external": _Curve(35.0)},
+            "tmobile": {"external": _Curve(32.0), "client": _Curve(12.0)},
+        }
+        study = SimpleNamespace(
+            fig4_resolver_distance=lambda carrier: curves.get(carrier, {})
+        )
+        (result,) = verify_claims(study, claims=[_claim("C5")])
+        assert result.passed is False
+        assert "sprint: no client curve" in result.evidence
+
+    def test_c5_reports_a_negative_gap_unrounded(self):
+        curves = {
+            "att": {"external": _Curve(30.0), "client": _Curve(10.0)},
+            "sprint": {"external": _Curve(35.0), "client": _Curve(15.0)},
+            "tmobile": {"external": _Curve(40.5), "client": _Curve(43.75)},
+        }
+        study = SimpleNamespace(
+            fig4_resolver_distance=lambda carrier: curves.get(carrier, {})
+        )
+        (result,) = verify_claims(study, claims=[_claim("C5")])
+        assert result.passed is False
+        assert "tmobile: external p50 40.5 <= client p50 43.75ms" in result.evidence
+        assert "+-" not in result.evidence

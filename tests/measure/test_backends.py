@@ -42,6 +42,7 @@ from repro.measure.checkpoint import (
     CampaignInterrupted,
     CheckpointStore,
     CrashPoint,
+    campaign_fingerprint,
     default_checkpoint_dir,
     reconcile,
     run_checkpointed,
@@ -583,3 +584,30 @@ class TestManifestFormat:
             if name.endswith(".tmp")
         ]
         assert stray == []
+
+
+#: ``campaign_fingerprint`` of the tiny config (seed 2014, device_scale
+#: 0.05, 4 days at 24 h) under the JSONL backend.  Resume refuses a
+#: changed fingerprint, so moving these would orphan every existing
+#: checkpoint directory.
+TINY_FINGERPRINTS = {
+    "serial": "e8d26a37fbc47daa52dfe1406b39c9dd45f0687b38c9f430aaa6e6db92c3c199",
+    "sharded": "43ebc7321da6c75ba5fca938bc976f2009a1c1de26f16bb579ee1bd71860add0",
+}
+
+
+class TestFingerprintStability:
+    @pytest.mark.parametrize("kind", sorted(TINY_FINGERPRINTS))
+    def test_tiny_fingerprint_is_pinned(self, kind):
+        world = build_world(WorldConfig(seed=2014))
+        config = CampaignConfig(
+            device_scale=0.05, duration_days=4.0, interval_hours=24.0
+        )
+        if kind == "serial":
+            campaign = Campaign(world, config)
+        else:
+            campaign = ShardedCampaign(world, config, workers=0)
+        fingerprint = campaign_fingerprint(
+            campaign, campaign.shard_tasks(), get_backend("jsonl")
+        )
+        assert fingerprint == TINY_FINGERPRINTS[kind]

@@ -21,7 +21,7 @@ from repro.measure.campaign import (
     CampaignConfig,
     ShardedCampaign,
 )
-from repro.measure.records import Dataset, record_event_key
+from repro.measure.records import Dataset
 
 #: Mixed odd/even populations with range_size=2: nine device ranges,
 #: several of which split a carrier, so shard counts that are not
@@ -158,16 +158,3 @@ class TestStreamingMerge:
             tracemalloc.stop()
         assert peak < 8 * _TAIL_READ_BYTES
         assert 1 + sum(1 for _ in stream) == count
-
-
-class TestFromShardStreams:
-    def test_merges_presorted_shards(self, serial_dataset):
-        records = list(serial_dataset)
-        shards = [records[0::3], records[1::3], records[2::3]]
-        for shard in shards:
-            shard.sort(key=record_event_key)
-        merged = Dataset.from_shard_streams(
-            (iter(shard) for shard in shards), metadata={"seed": SEED}
-        )
-        assert merged.content_hash() == serial_dataset.content_hash()
-        assert merged.metadata == {"seed": SEED}
