@@ -43,10 +43,12 @@ from repro.core.world import WorldConfig, build_world
 from repro.measure.campaign import CampaignConfig, ShardedCampaign
 
 #: Ceiling on the parent's peak traced allocation during the streaming
-#: run (workers hold the simulation; the parent only merges lines).  An
-#: in-memory package of the same campaign holds every record object —
-#: tens of megabytes even at this smoke's scale and growing linearly —
-#: so a breach is a regression signal, not noise.
+#: run.  The parent merges lines, and when the pool leaves it a free
+#: core it also runs queued shard tasks, holding one task's simulation
+#: state at a time; it never holds the record stream.  An in-memory
+#: package of the same campaign holds every record object — tens of
+#: megabytes even at this smoke's scale and growing linearly — so a
+#: breach is a regression signal, not noise.
 PEAK_LIMIT_MB = 32.0
 
 #: Ceiling for the accumulator-sink run: the merge bound plus the
@@ -108,6 +110,7 @@ def main(argv=None) -> int:
         f"bench-scale: {result['experiments']} experiments in "
         f"{elapsed:.1f}s ({result['experiments'] / elapsed:.0f}/s) | "
         f"dataset {size_mb:.1f}MB on disk | parent peak {peak_mb:.1f}MB | "
+        f"parent ran {result.get('parent_shards', 0)} shard tasks | "
         f"hash {result['content_hash'][:12]}"
     )
     if result["experiments"] <= 0:
@@ -156,7 +159,9 @@ def main(argv=None) -> int:
     print(
         f"bench-scale: accumulator leg {streamed['experiments']} "
         f"experiments in {sink_elapsed:.1f}s | parent peak "
-        f"{sink_peak_mb:.1f}MB | hash {streamed['content_hash'][:12]}"
+        f"{sink_peak_mb:.1f}MB | parent ran "
+        f"{streamed.get('parent_shards', 0)} shard tasks | hash "
+        f"{streamed['content_hash'][:12]}"
     )
     if streamed["content_hash"] != result["content_hash"]:
         print(

@@ -124,14 +124,19 @@ def _fig4_hierarchy(study):
 
 
 def _fig5_medians(study):
-    curves = study.fig5_us_resolution()
-    evidence = "; ".join(
-        f"{carrier}:{ecdf.median:.0f}ms" for carrier, ecdf in curves.items()
-    )
-    return (
-        all(25.0 < ecdf.median < 120.0 for ecdf in curves.values()),
-        evidence,
-    )
+    evidence = []
+    ok = True
+    for carrier, ecdf in study.fig5_us_resolution().items():
+        median = ecdf.median
+        if median <= 25.0:
+            ok = False
+            evidence.append(f"{carrier}: p50 {median} <= 25ms")
+        elif median >= 120.0:
+            ok = False
+            evidence.append(f"{carrier}: p50 {median} >= 120ms")
+        else:
+            evidence.append(f"{carrier}:{median:.0f}ms")
+    return ok, "; ".join(evidence)
 
 
 def _fig6_bimodal(study):
@@ -149,7 +154,11 @@ def _fig6_bimodal(study):
 def _fig7_misses(study):
     comparison = study.fig7_cache()
     rate = comparison.miss_rate()
-    return 0.10 < rate < 0.40, f"miss rate {rate * 100:.0f}%"
+    if rate <= 0.10:
+        return False, f"miss rate {rate} <= 0.1"
+    if rate >= 0.40:
+        return False, f"miss rate {rate} >= 0.4"
+    return True, f"miss rate {rate * 100:.0f}%"
 
 
 def _t4_opaqueness(study):
@@ -285,7 +294,9 @@ def _fig14_public_parity(study):
         shares[carrier] = result.fraction_public_not_worse()
     ok = all(share > 0.7 for share in shares.values())
     evidence = "; ".join(
-        f"{carrier}:{share * 100:.0f}%" for carrier, share in shares.items()
+        f"{carrier}:{share * 100:.0f}%" if share > 0.7
+        else f"{carrier}: public-not-worse share {share} <= 0.7"
+        for carrier, share in shares.items()
     )
     return ok, evidence
 

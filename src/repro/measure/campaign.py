@@ -49,6 +49,11 @@ The sharded executor runs a *warm worker pool*:
   merge (and the analysis sink fold, and the output hashing) advances
   as far as every shard's flushed frontier allows, so only the tail of
   the merge waits for the slowest shard.
+* **Parent on a free core** — when the pool runs fewer processes than
+  :func:`usable_cores` reports, the merging parent runs queued shard
+  tasks itself (from the back of the plan, until it reaches a task a
+  worker already holds) before it starts merging.  Output bytes do not
+  depend on which process ran a task.
 
 Workers never pickle records back to the parent.  One task,
 :meth:`Campaign.spill_shard`, is the only way a shard reaches disk: it
@@ -57,7 +62,8 @@ runs a task's ranges through the backend's
 JSONL into a temporary directory and tail the writer's unsealed
 ``.tmp`` file; checkpointed runs (:mod:`repro.measure.checkpoint`)
 commit the sealed file.  The parent k-way merges spills by event key
-straight to the output path, so peak memory is O(shards), not
+straight to the output path, so peak memory is O(shards) (plus one
+in-process task's simulation state when the parent runs tasks), not
 O(campaign).  :meth:`ShardedCampaign.run` is that same stream written
 to a temporary archive and loaded back.
 """
@@ -70,7 +76,7 @@ import shutil
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -123,6 +129,18 @@ DEFAULT_PER_EXPERIMENT_S = 0.002
 #: ``auto`` goes multiprocess only when the estimated serial simulate
 #: time exceeds this multiple of one worker's bootstrap cost.
 MIN_AMORTIZATION = 2.0
+
+
+def usable_cores() -> int:
+    """Cores this process may run on.
+
+    ``os.cpu_count()`` counts the machine; a CPU affinity mask
+    (``taskset``, cgroup cpusets) can leave fewer usable, so the
+    affinity set wins where the OS exposes one.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class ExecutorDecision(str):
@@ -199,7 +217,7 @@ def select_executor(
         raise ConfigError(
             f"unknown executor {requested!r}; expected one of {EXECUTOR_CHOICES}"
         )
-    cores = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
+    cores = cpu_count if cpu_count is not None else usable_cores()
     shards = shard_count if shard_count is not None else len(PAPER_CLIENT_COUNTS)
     if bootstrap_s is None:
         measured = measured_bootstrap_s()
@@ -808,8 +826,8 @@ class ShardedCampaign(Campaign):
     The device population is cut into deterministic
     :class:`DeviceRange` units (see :meth:`CampaignConfig.device_ranges`);
     ``shards`` groups consecutive ranges into that many worker tasks
-    (default: one task per range), and ``workers`` caps the process
-    pool at ``min(cpu count, shards)``.  Each worker boots its world
+    (default: one task per range), and ``workers`` defaults to
+    ``min(usable_cores(), shards)``.  Each worker boots its world
     from the parent's snapshot (rebuilds as fallback) and runs its
     tasks' ranges through the same event queue the serial loop uses,
     so a shard's record stream is the serial stream restricted to its
@@ -824,6 +842,10 @@ class ShardedCampaign(Campaign):
     explicit: :meth:`close` (idempotent) or use the campaign as a
     context manager; garbage collection closes without waiting as a
     backstop.
+
+    A pool smaller than the usable core count leaves the parent a free
+    core, so :meth:`run_streaming` also runs queued shard tasks in
+    process (see :meth:`_run_queued_shards`).
 
     ``workers=0`` (or a single shard) falls back to the serial loop
     (:attr:`pooled` is False).
@@ -845,7 +867,7 @@ class ShardedCampaign(Campaign):
             shards = len(self.ranges)
         self.shards = max(1, min(shards, len(self.ranges)))
         if workers is None:
-            workers = min(os.cpu_count() or 1, self.shards)
+            workers = min(usable_cores(), self.shards)
         self.workers = workers
         self.mp_context: str = resolve_mp_context(mp_context)
         self._executor: Optional[ProcessPoolExecutor] = None
@@ -863,6 +885,11 @@ class ShardedCampaign(Campaign):
         self._run_token = token + 1
         return token
 
+    @property
+    def _pool_processes(self) -> int:
+        """How many worker processes the pool runs."""
+        return min(self.workers, len(self.ranges)) or 1
+
     def _ensure_pool(self) -> ProcessPoolExecutor:
         pool = self._executor
         if pool is not None and not getattr(pool, "_broken", False):
@@ -872,7 +899,7 @@ class ShardedCampaign(Campaign):
             pool.shutdown(wait=True)
             self._executor = None
         pool = ProcessPoolExecutor(
-            max_workers=min(self.workers, len(self.ranges)) or 1,
+            max_workers=self._pool_processes,
             mp_context=multiprocessing.get_context(self.mp_context),
             initializer=_init_shard_worker,
             initargs=(self.world_snapshot, self.world.config, self.config),
@@ -959,7 +986,9 @@ class ShardedCampaign(Campaign):
         """Run all shards and stream the merged dataset to a file.
 
         Every shard task runs :meth:`Campaign.spill_shard` in the warm
-        pool, spilling event-ordered JSONL into a temporary directory;
+        pool, spilling event-ordered JSONL into a temporary directory
+        (when the pool leaves a core free, the parent first runs queued
+        tasks itself, see :meth:`_run_queued_shards`);
         the parent *tails* the writers' unsealed ``.tmp`` files and
         k-way merges them straight to ``output_path`` while shards still
         execute, hashing record lines as they pass.  Every record the
@@ -985,23 +1014,74 @@ class ShardedCampaign(Campaign):
         they are transient merge inputs, not archives — and the content
         hash is backend-independent.
 
-        Returns ``{"experiments", "content_hash", "path", "metadata"}``.
+        Returns ``{"experiments", "content_hash", "path", "metadata",
+        "parent_shards"}``; ``parent_shards`` (how many tasks the parent
+        ran) stays out of the archive's metadata.  The in-process
+        fallback returns the :meth:`Campaign.run_streaming` dict.
         """
         if not self.pooled:
             return super().run_streaming(output_path, sink, backend=backend)
         token = self._next_run_token()
         pool = self._ensure_pool()
         tmpdir = tempfile.mkdtemp(prefix="repro-shards-")
+        futures: List[Future] = []
         try:
-            streams = []
-            for shard, task in enumerate(self.shard_tasks()):
-                path = os.path.join(tmpdir, f"shard-{shard:04d}.jsonl")
-                future = pool.submit(_spill_task, token, shard, task, path)
-                # The writer's unsealed spill; sealing only fsyncs it.
-                streams.append(_tail_jsonl_lines(path + ".tmp", future))
-            return self._write_archive(output_path, streams, backend, sink)
+            tasks = self.shard_tasks()
+            paths = [
+                os.path.join(tmpdir, f"shard-{shard:04d}.jsonl")
+                for shard in range(len(tasks))
+            ]
+            for shard, (task, path) in enumerate(zip(tasks, paths)):
+                futures.append(pool.submit(_spill_task, token, shard, task, path))
+            parent_shards = self._run_queued_shards(tasks, paths, futures)
+            # The writers' unsealed spills; sealing only fsyncs them.
+            streams = [
+                _tail_jsonl_lines(path + ".tmp", future)
+                for path, future in zip(paths, futures)
+            ]
+            result = self._write_archive(output_path, streams, backend, sink)
+            result["parent_shards"] = parent_shards
+            return result
+        except BaseException:
+            # A failed run drops its queued tasks, so they cannot hold
+            # up the next run on the warm pool, and lets running ones
+            # finish before their spill directory goes.
+            for future in futures:
+                future.cancel()
+            wait(futures)
+            raise
         finally:
             shutil.rmtree(tmpdir, ignore_errors=True)
+
+    def _run_queued_shards(
+        self,
+        tasks: Sequence[Sequence[DeviceRange]],
+        paths: Sequence[str],
+        futures: List[Future],
+    ) -> int:
+        """Run queued shard tasks in this process when the pool leaves
+        it a free core; returns how many it ran.
+
+        Walks the plan from the back, cancelling each task a worker has
+        not picked up yet and spilling it here instead, and stops at the
+        first task a worker already holds.  A task run here becomes a
+        finished spill file behind a done future, so the merge reads it
+        like any other; ranges never share cache scope, so the bytes do
+        not depend on which process ran which task.
+        """
+        if self._pool_processes >= usable_cores():
+            return 0
+        taken = 0
+        for shard in range(len(tasks) - 1, -1, -1):
+            if not futures[shard].cancel():
+                break
+            if not taken:
+                self._prepare_serial_run()
+            done: Future = Future()
+            done.set_result(self.spill_shard(shard, tasks[shard], paths[shard]))
+            futures[shard] = done
+            taken += 1
+        return taken
 
     def _streaming_metadata(self) -> Dict[str, object]:
         metadata = super()._streaming_metadata()

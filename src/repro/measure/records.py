@@ -516,7 +516,9 @@ def _decode_resolution(item: dict) -> ResolutionRecord:
     record.domain = sys.intern(item["domain"])
     record.resolver_kind = sys.intern(item["resolver_kind"])
     record.resolution_ms = item["resolution_ms"]
-    record.addresses = item["addresses"]
+    addresses = item["addresses"]
+    addresses[:] = map(sys.intern, addresses)
+    record.addresses = addresses
     record.cname_chain = item["cname_chain"]
     record.attempt = item["attempt"]
     record.rcode = sys.intern(item["rcode"])
@@ -543,7 +545,14 @@ def _decode_traceroute(item: dict) -> TracerouteRecord:
     record: TracerouteRecord = _new(TracerouteRecord)
     record.target_ip = item["target_ip"]
     record.target_kind = sys.intern(item["target_kind"])
-    record.hops = item["hops"]
+    hops = item["hops"]
+    for hop in hops:
+        # Hops are ``[ttl, ip, rtt]`` when a campaign wrote them; other
+        # shapes must still decode as the reference path does, so only
+        # a string in the IP slot is touched.
+        if len(hop) > 1 and type(hop[1]) is str:
+            hop[1] = sys.intern(hop[1])
+    record.hops = hops
     record.reached = item["reached"]
     record.outcome = None
     return record
@@ -553,7 +562,7 @@ def _decode_http(item: dict) -> HttpRecord:
     if len(item) != 4:
         raise KeyError("non-canonical http get")
     record: HttpRecord = _new(HttpRecord)
-    record.replica_ip = item["replica_ip"]
+    record.replica_ip = sys.intern(item["replica_ip"])
     record.domain = sys.intern(item["domain"])
     record.resolver_kind = sys.intern(item["resolver_kind"])
     record.ttfb_ms = item["ttfb_ms"]

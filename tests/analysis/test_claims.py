@@ -145,3 +145,38 @@ class TestFailingEvidence:
         assert result.passed is False
         assert "tmobile: external p50 40.5 <= client p50 43.75ms" in result.evidence
         assert "+-" not in result.evidence
+
+    def test_c6_names_the_carrier_over_the_median_bound_unrounded(self):
+        curves = {"att": _Curve(60.5), "verizon": _Curve(120.2)}
+        study = SimpleNamespace(fig5_us_resolution=lambda: curves)
+        (result,) = verify_claims(study, claims=[_claim("C6")])
+        assert result.passed is False
+        assert "verizon: p50 120.2 >= 120ms" in result.evidence
+        assert "att: p50" not in result.evidence
+
+    def test_c6_names_the_carrier_under_the_median_bound_unrounded(self):
+        curves = {"att": _Curve(24.75), "verizon": _Curve(80.0)}
+        study = SimpleNamespace(fig5_us_resolution=lambda: curves)
+        (result,) = verify_claims(study, claims=[_claim("C6")])
+        assert result.passed is False
+        assert "att: p50 24.75 <= 25ms" in result.evidence
+
+    def test_c8_reports_the_failing_miss_rate_unrounded(self):
+        cache = SimpleNamespace(miss_rate=lambda: 0.401)
+        study = SimpleNamespace(fig7_cache=lambda: cache)
+        (result,) = verify_claims(study, claims=[_claim("C8")])
+        assert result.passed is False
+        assert "miss rate 0.401 >= 0.4" in result.evidence
+
+    def test_c17_names_the_carrier_under_the_share_bound_unrounded(self):
+        shares = {"att": 0.85, "tmobile": 0.696}
+        study = SimpleNamespace(
+            world=SimpleNamespace(operators={"att": None, "tmobile": None}),
+            fig14_public_replicas=lambda carrier: SimpleNamespace(
+                fraction_public_not_worse=lambda: shares[carrier]
+            ),
+        )
+        (result,) = verify_claims(study, claims=[_claim("C17")])
+        assert result.passed is False
+        assert "tmobile: public-not-worse share 0.696 <= 0.7" in result.evidence
+        assert "att:85%" in result.evidence

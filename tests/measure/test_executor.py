@@ -7,6 +7,7 @@ from repro.measure.campaign import (
     EXECUTOR_CHOICES,
     ExecutorDecision,
     select_executor,
+    usable_cores,
 )
 
 
@@ -50,6 +51,49 @@ class TestSelectExecutor:
 
     def test_choices_constant_matches_cli(self):
         assert EXECUTOR_CHOICES == ("auto", "serial", "sharded")
+
+
+class TestUsableCores:
+    def test_counts_the_affinity_mask_not_the_machine(self, monkeypatch):
+        import repro.measure.campaign as campaign_module
+
+        # A runner pinned to two of its 16 cores (``taskset -c 0,1``).
+        monkeypatch.setattr(
+            campaign_module.os, "sched_getaffinity", lambda pid: {0, 1},
+            raising=False,
+        )
+        monkeypatch.setattr(campaign_module.os, "cpu_count", lambda: 16)
+        assert usable_cores() == 2
+
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        import repro.measure.campaign as campaign_module
+
+        monkeypatch.delattr(campaign_module.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(campaign_module.os, "cpu_count", lambda: 6)
+        assert usable_cores() == 6
+        monkeypatch.setattr(campaign_module.os, "cpu_count", lambda: None)
+        assert usable_cores() == 1
+
+    def test_auto_and_worker_default_size_from_usable_cores(self, monkeypatch):
+        import repro.measure.campaign as campaign_module
+        from repro.core.world import WorldConfig, build_world
+        from repro.measure.campaign import CampaignConfig, ShardedCampaign
+
+        monkeypatch.setattr(
+            campaign_module.os, "sched_getaffinity", lambda pid: {3},
+            raising=False,
+        )
+        monkeypatch.setattr(campaign_module.os, "cpu_count", lambda: 16)
+        assert select_executor("auto", shard_count=6) == "serial"
+        config = CampaignConfig(
+            devices_per_carrier={
+                "att": 2, "sprint": 1, "tmobile": 1,
+                "verizon": 1, "skt": 1, "lgu": 1,
+            },
+            duration_days=1.0,
+        )
+        campaign = ShardedCampaign(build_world(WorldConfig(seed=5)), config)
+        assert campaign.workers == 1
 
 
 class TestAmortizationDecisionTable:
@@ -151,7 +195,7 @@ class TestStudyExecutor:
         import repro.measure.campaign as campaign_module
         from repro import CellularDNSStudy, StudyConfig
 
-        monkeypatch.setattr(campaign_module.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(campaign_module, "usable_cores", lambda: 1)
         study = CellularDNSStudy(StudyConfig.smoke_scale())
         assert study.executor == "serial"
         assert type(study.campaign).__name__ == "Campaign"
@@ -160,7 +204,7 @@ class TestStudyExecutor:
         import repro.measure.campaign as campaign_module
         from repro import CellularDNSStudy, StudyConfig
 
-        monkeypatch.setattr(campaign_module.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(campaign_module, "usable_cores", lambda: 1)
         config = StudyConfig.smoke_scale()
         config.workers = 4
         study = CellularDNSStudy(config)
@@ -171,7 +215,7 @@ class TestStudyExecutor:
         from repro import CellularDNSStudy, StudyConfig
         from repro.measure.campaign import ShardedCampaign
 
-        monkeypatch.setattr(campaign_module.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(campaign_module, "usable_cores", lambda: 4)
         # The default study scale (~5k experiments) is big enough to
         # amortize worker bootstrap; smoke scale is not (tested below).
         study = CellularDNSStudy(StudyConfig())
@@ -186,7 +230,7 @@ class TestStudyExecutor:
         import repro.measure.campaign as campaign_module
         from repro import CellularDNSStudy, StudyConfig
 
-        monkeypatch.setattr(campaign_module.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(campaign_module, "usable_cores", lambda: 4)
         study = CellularDNSStudy(StudyConfig.smoke_scale())
         # Cores are available, but a smoke campaign finishes serially
         # faster than the workers could even boot.

@@ -89,6 +89,24 @@ class TestIngestEdgeCases:
         assert loaded.metadata == {"país": "한국"}
         assert loaded.by_carrier()["케이티-kt"] == [clone]
 
+    def test_decoded_addresses_are_interned(self):
+        # The analysis fold retains every address it decodes; records
+        # naming the same resolver, replica or hop share one string.
+        first, second = _record(sequence=0), _record(sequence=1, at=60.0)
+        second.traceroutes[0].hops.append([3, "16.0.7.1", 31.0, "extra"])
+        loaded = _assert_paths_agree(
+            _dump(Dataset(experiments=[first, second]))
+        )
+        a, b = loaded.experiments
+        address = a.resolutions[0].addresses[0]
+        assert address == "16.0.7.1"
+        assert b.resolutions[0].addresses[0] is address
+        assert a.http_gets[0].replica_ip is address
+        assert b.http_gets[0].replica_ip is address
+        assert b.traceroutes[0].hops[2][1] is address
+        assert a.traceroutes[0].hops[1][1] is b.traceroutes[0].hops[1][1]
+        assert a.traceroutes[0].hops[0] == [1, None, None]
+
     def test_non_canonical_line_falls_back(self):
         # Hand-edited key order is not the canonical emitter shape; the
         # fast ingest must hand it to from_json, not mis-decode it.

@@ -158,3 +158,64 @@ class TestStreamingMerge:
             tracemalloc.stop()
         assert peak < 8 * _TAIL_READ_BYTES
         assert 1 + sum(1 for _ in stream) == count
+
+
+class TestParentTakesQueuedShards:
+    """A pool smaller than the usable cores leaves the merging parent a
+    core: it runs queued shard tasks itself, with unchanged bytes."""
+
+    @staticmethod
+    def _cores(monkeypatch, count):
+        import repro.measure.campaign as campaign_module
+
+        monkeypatch.setattr(campaign_module, "usable_cores", lambda: count)
+
+    def test_free_core_parent_runs_tasks_and_repeats_identically(
+        self, serial_dataset, monkeypatch, tmp_path
+    ):
+        self._cores(monkeypatch, 2)
+        with ShardedCampaign(_world(), _config(), workers=1) as sharded:
+            results = [
+                sharded.run_streaming(str(tmp_path / f"run-{run}.jsonl"))
+                for run in range(3)
+            ]
+        expected = serial_dataset.content_hash()
+        assert [result["content_hash"] for result in results] == [expected] * 3
+        assert results[0]["parent_shards"] >= 1
+        assert all(
+            0 <= result["parent_shards"] < sharded.shards for result in results
+        )
+        assert "parent_shards" not in results[0]["metadata"]
+        loaded = Dataset.load(str(tmp_path / "run-0.jsonl"))
+        assert "parent_shards" not in loaded.metadata
+
+    def test_pool_filling_the_cores_leaves_the_parent_merging(
+        self, serial_dataset, monkeypatch, tmp_path
+    ):
+        self._cores(monkeypatch, 2)
+        with ShardedCampaign(_world(), _config(), workers=2) as sharded:
+            result = sharded.run_streaming(str(tmp_path / "campaign.jsonl"))
+        assert result["parent_shards"] == 0
+        assert result["content_hash"] == serial_dataset.content_hash()
+
+    def test_parent_spill_error_propagates_and_pool_stays_usable(
+        self, serial_dataset, monkeypatch, tmp_path
+    ):
+        self._cores(monkeypatch, 2)
+        spill_root = tmp_path / "spills"
+        spill_root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spill_root))
+
+        def failing_spill(shard, ranges, path, *args):
+            raise RuntimeError(f"parent spill of shard {shard} failed")
+
+        with ShardedCampaign(_world(), _config(), workers=1) as sharded:
+            sharded.spill_shard = failing_spill
+            with pytest.raises(RuntimeError, match="parent spill of shard"):
+                sharded.run_streaming(str(tmp_path / "failed.jsonl"))
+            assert list(spill_root.glob("repro-shards-*")) == []
+            del sharded.spill_shard
+            result = sharded.run_streaming(str(tmp_path / "campaign.jsonl"))
+            assert sharded.pool_stats["reused"] >= 1
+        assert result["content_hash"] == serial_dataset.content_hash()
+        assert list(spill_root.glob("repro-shards-*")) == []
