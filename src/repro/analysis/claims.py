@@ -41,15 +41,17 @@ class ClaimResult:
 
 
 def _fig2_differentials(study):
-    worst = 0.0
-    evidence = []
+    shares = {}
     for carrier in study.world.operators:
         ecdf = study.fig2_replica_differentials(carrier).ecdf()
-        if ecdf.is_empty:
-            continue
-        share = ecdf.fraction_above(50.0)
-        worst = max(worst, share)
-        evidence.append(f"{carrier}:{share * 100:.0f}%>={50}%")
+        if not ecdf.is_empty:
+            shares[carrier] = ecdf.fraction_above(50.0)
+    evidence = [
+        f"{carrier}:{share * 100:.0f}%>={50}%" for carrier, share in shares.items()
+    ]
+    worst = max(shares.values(), default=0.0)
+    if worst <= 0.15:
+        evidence.append(f"worst share {worst} <= 0.15")
     return worst > 0.15, "; ".join(evidence)
 
 
@@ -140,15 +142,16 @@ def _fig5_medians(study):
 
 
 def _fig6_bimodal(study):
-    curves = study.fig6_sk_resolution()
-    evidence = "; ".join(
-        f"{carrier}: p50 {e.median:.0f} / p90 {e.quantile(0.9):.0f}ms"
-        for carrier, e in curves.items()
-    )
-    return (
-        all(e.quantile(0.9) > 3.0 * e.median for e in curves.values()),
-        evidence,
-    )
+    evidence = []
+    ok = True
+    for carrier, ecdf in study.fig6_sk_resolution().items():
+        median, p90 = ecdf.median, ecdf.quantile(0.9)
+        if p90 <= 3.0 * median:
+            ok = False
+            evidence.append(f"{carrier}: p90 {p90} <= 3 x p50 {median}ms")
+        else:
+            evidence.append(f"{carrier}: p50 {median:.0f} / p90 {p90:.0f}ms")
+    return ok, "; ".join(evidence)
 
 
 def _fig7_misses(study):
@@ -164,18 +167,24 @@ def _fig7_misses(study):
 def _t4_opaqueness(study):
     rows = {row.carrier: row for row in study.table4_reachability()}
     traceroutes = sum(row.traceroute_responsive for row in rows.values())
-    ok = (
-        rows["verizon"].ping_fraction > 0.5
-        and rows["att"].ping_fraction > 0.5
-        and rows["tmobile"].ping_responsive == 0
-        and traceroutes == 0
-    )
+    failures = [
+        f"{carrier} ping fraction {rows[carrier].ping_fraction} <= 0.5"
+        for carrier in ("verizon", "att")
+        if rows[carrier].ping_fraction <= 0.5
+    ]
+    if rows["tmobile"].ping_responsive != 0:
+        failures.append(
+            f"tmobile answered {rows['tmobile'].ping_responsive} pings, "
+            f"expected 0"
+        )
+    if traceroutes != 0:
+        failures.append(f"{traceroutes} traceroutes complete, expected 0")
     evidence = (
         f"vz {rows['verizon'].ping_fraction * 100:.0f}% / "
         f"att {rows['att'].ping_fraction * 100:.0f}% ping; "
         f"{traceroutes} traceroutes complete"
     )
-    return ok, evidence
+    return not failures, "; ".join([evidence, *failures])
 
 
 def _busiest(study, carrier):
@@ -190,17 +199,21 @@ def _fig8_churn(study):
     tmobile = _busiest(study, "tmobile")
     att = _busiest(study, "att")
     skt = _busiest(study, "skt")
-    ok = (
-        tmobile.unique_ips() > att.unique_ips()
-        and skt.unique_prefixes() <= 2
-        and skt.unique_ips() >= 3
-    )
+    failures = []
+    if tmobile.unique_ips() <= att.unique_ips():
+        failures.append(
+            f"tmobile {tmobile.unique_ips()} ips <= att {att.unique_ips()} ips"
+        )
+    if skt.unique_prefixes() > 2:
+        failures.append(f"skt {skt.unique_prefixes()} /24s > 2")
+    if skt.unique_ips() < 3:
+        failures.append(f"skt {skt.unique_ips()} ips < 3")
     evidence = (
         f"tmobile {tmobile.unique_ips()} ips/{tmobile.unique_prefixes()} /24s; "
         f"att {att.unique_ips()}/{att.unique_prefixes()}; "
         f"skt {skt.unique_ips()}/{skt.unique_prefixes()}"
     )
-    return ok, evidence
+    return not failures, "; ".join([evidence, *failures])
 
 
 def _fig9_static(study):
@@ -217,15 +230,18 @@ def _fig9_static(study):
 
 def _fig10_similarity(study):
     result = study.fig10_similarity("tmobile")
-    ok = (
-        result.median_same_prefix() > 0.9
-        and result.fraction_disjoint() > 0.6
+    median, disjoint = result.median_same_prefix(), result.fraction_disjoint()
+    median_ok, disjoint_ok = median > 0.9, disjoint > 0.6
+    if median_ok and disjoint_ok:
+        return True, (
+            f"same-/24 median {median:.2f}; "
+            f"diff-/24 disjoint {disjoint * 100:.0f}%"
+        )
+    return False, (
+        f"same-/24 median {median}{'' if median_ok else ' <= 0.9'}; "
+        f"diff-/24 disjoint fraction {disjoint}"
+        f"{'' if disjoint_ok else ' <= 0.6'}"
     )
-    evidence = (
-        f"same-/24 median {result.median_same_prefix():.2f}; "
-        f"diff-/24 disjoint {result.fraction_disjoint() * 100:.0f}%"
-    )
-    return ok, evidence
 
 
 def _egress_growth(study):
@@ -262,12 +278,16 @@ def _fig11_13_closer_faster(study):
     ok = True
     for carrier in ("att", "skt"):
         pings = study.fig11_public_distance(carrier)
-        if pings["local-external"].median >= pings["google"].median:
+        local, google = pings["local-external"].median, pings["google"].median
+        if local >= google:
             ok = False
-        evidence.append(
-            f"{carrier} ping: local {pings['local-external'].median:.0f} vs "
-            f"google {pings['google'].median:.0f}ms"
-        )
+            evidence.append(
+                f"{carrier} ping: local {local} >= google {google}ms"
+            )
+        else:
+            evidence.append(
+                f"{carrier} ping: local {local:.0f} vs google {google:.0f}ms"
+            )
     for carrier in study.world.operators:
         curves = study.fig13_public_resolution(carrier)
         local, google = curves["local"].median, curves["google"].median

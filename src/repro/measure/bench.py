@@ -171,6 +171,7 @@ def bench_workers(scale: Optional[BenchScale] = None) -> Dict[str, object]:
         CampaignConfig,
         ShardedCampaign,
         resolve_mp_context,
+        usable_cores,
     )
 
     scale = scale or BenchScale()
@@ -193,7 +194,7 @@ def bench_workers(scale: Optional[BenchScale] = None) -> Dict[str, object]:
         boot_world(None, world_config)
         rebuild_boots.append(time.perf_counter() - started)
 
-    workers = scale.workers or min(os.cpu_count() or 1, 4)
+    workers = scale.workers or min(usable_cores(), 4)
     tmpdir = tempfile.mkdtemp(prefix="repro-bench-workers-")
     try:
         with ShardedCampaign(
@@ -468,17 +469,18 @@ def bench_scheduler(scale: Optional[BenchScale] = None) -> Dict[str, object]:
       work stubbed out, so the number is the scheduling machinery alone;
     * **shard merge** — peak traced allocation of packaging one campaign
       from spilled shard JSONL the way the sharded executor's parent
-      does (``merge_shard_jsonl`` over the files, holding one pending
-      line per shard — what ``run_streaming()`` holds), next to the
-      spill files' total size.  The merge must land on the serial
-      content hash; its peak is the number that makes
+      does (the JSONL backend's ``write_archive_lines`` over the files,
+      holding one pending line per shard — what ``run_streaming()``
+      holds), next to the spill files' total size.  The merge must land
+      on the serial content hash; its peak is the number that makes
       million-experiment campaigns packageable on a laptop.
     """
     import tempfile
     import tracemalloc
 
     from repro.measure.campaign import Campaign, CampaignConfig
-    from repro.measure.records import merge_shard_jsonl, record_event_key
+    from repro.measure.backends import get_backend
+    from repro.measure.records import record_event_key
     from repro.measure.scheduler import ExperimentSchedule, ProbeEventQueue
 
     gc.collect()
@@ -545,10 +547,9 @@ def bench_scheduler(scale: Optional[BenchScale] = None) -> Dict[str, object]:
         output = os.path.join(tmp, "merged.jsonl")
         gc.collect()
         tracemalloc.start()
-        with open(output, "w", encoding="utf-8") as handle:
-            count, streaming_hash = merge_shard_jsonl(
-                (lines_of(path) for path in paths), handle
-            )
+        count, streaming_hash = get_backend("jsonl").write_archive_lines(
+            output, (lines_of(path) for path in paths)
+        )
         streaming_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
 

@@ -573,7 +573,7 @@ class Campaign:
     def _streaming_metadata(self) -> Dict[str, object]:
         metadata = self._metadata(None)
         # The streaming writer cannot know the record count up front;
-        # merge_shard_jsonl fills it in as it writes the metadata line.
+        # the archive writer fills it in when it seals the archive.
         del metadata["experiments"]
         return metadata
 

@@ -52,7 +52,12 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import DatasetError
-from repro.measure.backends import DatasetBackend, get_backend, write_atomic
+from repro.measure.backends import (
+    DatasetBackend,
+    _fsync_dir,
+    get_backend,
+    write_atomic,
+)
 from repro.measure.campaign import (
     Campaign,
     CampaignInterrupted,
@@ -191,7 +196,7 @@ class CheckpointStore:
         """Atomically promote a sealed ``*.tmp`` spill to committed."""
         path = self.shard_path(shard)
         os.replace(path + ".tmp", path)
-        _fsync_parent(path)
+        _fsync_dir(path)
         write_atomic(
             self.shard_manifest_path(shard),
             json.dumps(
@@ -260,20 +265,9 @@ class CheckpointStore:
             target = f"{path}.quarantined-{attempt}"
             if not os.path.exists(target):
                 os.replace(path, target)
-                _fsync_parent(path)
+                _fsync_dir(path)
                 return target
         raise DatasetError(f"quarantine namespace exhausted for {path}")
-
-
-def _fsync_parent(path: str) -> None:
-    try:
-        fd = os.open(os.path.dirname(os.path.abspath(path)) or ".", os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 # -- shard execution ----------------------------------------------------------

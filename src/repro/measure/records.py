@@ -870,61 +870,6 @@ def merged_shard_lines(
         yield line
 
 
-def merge_shard_jsonl(
-    line_streams: Iterable[Iterator[str]],
-    output: TextIO,
-    metadata: Optional[Dict[str, object]] = None,
-    sink=None,
-) -> Tuple[int, str]:
-    """K-way merge shard JSONL streams into ``output`` by event key.
-
-    Each stream must yield record lines already in event-key order
-    (every shard executor produces exactly that); blank lines and
-    trailing newlines are tolerated and skipped.  The merged lines are
-    written one at a time and SHA-256-hashed as they pass — the digest
-    is byte-identical to :meth:`Dataset.content_hash` of the equivalent
-    in-memory merge.  Record lines run tens of kilobytes, so no block
-    buffer is kept here: the handle's own write buffering is enough, and
-    parent peak memory stays at one pending line per stream, never the
-    whole campaign.
-
-    When ``sink`` is given it is called with each merged line as it is
-    written — the hook the pipelined report path uses to fold every line
-    into the analysis projections without re-reading the output file.
-
-    When ``metadata`` is given, a ``{"_metadata": ...}`` line (with the
-    final record count filled in as ``experiments``) is appended after
-    the records; loaders accept the metadata line at any position.
-
-    Returns ``(record_count, content_hash_hexdigest)``.
-    """
-    digest = hashlib.sha256()
-    update = digest.update
-    write = output.write
-    count = 0
-    merged = merged_shard_lines(line_streams)
-    if sink is None:
-        for line in merged:
-            update(line.encode("utf-8"))
-            update(b"\n")
-            count += 1
-            write(line)
-            write("\n")
-    else:
-        for line in merged:
-            update(line.encode("utf-8"))
-            update(b"\n")
-            count += 1
-            write(line)
-            write("\n")
-            sink(line)
-    if metadata is not None:
-        payload = dict(metadata)
-        payload["experiments"] = count
-        write(json.dumps({"_metadata": payload}, separators=(",", ":")) + "\n")
-    return count, digest.hexdigest()
-
-
 @dataclass(slots=True)
 class Dataset:
     """An ordered collection of experiment records plus campaign metadata.

@@ -180,3 +180,100 @@ class TestFailingEvidence:
         assert result.passed is False
         assert "tmobile: public-not-worse share 0.696 <= 0.7" in result.evidence
         assert "att:85%" in result.evidence
+
+    def test_c1_reports_the_worst_share_under_the_bound_unrounded(self):
+        shares = {"att": 0.12, "skt": 0.149}
+        study = SimpleNamespace(
+            world=SimpleNamespace(operators={"att": None, "skt": None}),
+            fig2_replica_differentials=lambda carrier: SimpleNamespace(
+                ecdf=lambda: SimpleNamespace(
+                    is_empty=False,
+                    fraction_above=lambda threshold: shares[carrier],
+                )
+            ),
+        )
+        (result,) = verify_claims(study, claims=[_claim("C1")])
+        assert result.passed is False
+        assert "worst share 0.149 <= 0.15" in result.evidence
+
+    def test_c7_names_the_carrier_whose_p90_is_not_bimodal(self):
+        def curve(median, p90):
+            return SimpleNamespace(median=median, quantile=lambda q: p90)
+
+        curves = {"skt": curve(30.0, 95.5), "lgu": curve(40.25, 120.5)}
+        study = SimpleNamespace(fig6_sk_resolution=lambda: curves)
+        (result,) = verify_claims(study, claims=[_claim("C7")])
+        assert result.passed is False
+        assert "lgu: p90 120.5 <= 3 x p50 40.25ms" in result.evidence
+        assert "skt: p90" not in result.evidence
+
+    def test_c9_names_the_failing_condition_unrounded(self):
+        def row(carrier, fraction, responsive=0):
+            return SimpleNamespace(
+                carrier=carrier,
+                ping_fraction=fraction,
+                ping_responsive=responsive,
+                traceroute_responsive=0,
+            )
+
+        rows = [row("verizon", 0.4999, 9), row("att", 0.75, 12), row("tmobile", 0.0)]
+        study = SimpleNamespace(table4_reachability=lambda: rows)
+        (result,) = verify_claims(study, claims=[_claim("C9")])
+        assert result.passed is False
+        assert "verizon ping fraction 0.4999 <= 0.5" in result.evidence
+        assert "att ping fraction" not in result.evidence
+        assert "expected 0" not in result.evidence
+
+    def test_c10_names_the_failing_comparison(self):
+        churn = {"tmobile": (9, 5), "att": (2, 1), "skt": (4, 3)}
+
+        def timeline(carrier):
+            ips, prefixes = churn[carrier]
+            return SimpleNamespace(
+                observations=[None] * 10,
+                unique_ips=lambda: ips,
+                unique_prefixes=lambda: prefixes,
+            )
+
+        study = SimpleNamespace(
+            campaign=SimpleNamespace(
+                devices_of=lambda carrier: [SimpleNamespace(device_id=carrier)]
+            ),
+            fig8_resolver_churn=timeline,
+        )
+        (result,) = verify_claims(study, claims=[_claim("C10")])
+        assert result.passed is False
+        assert "skt 3 /24s > 2" in result.evidence
+        assert "<= att" not in result.evidence
+        assert "ips < 3" not in result.evidence
+
+    def test_c12_reports_median_and_disjoint_fraction_unrounded(self):
+        similarity = SimpleNamespace(
+            median_same_prefix=lambda: 0.8975,
+            fraction_disjoint=lambda: 0.6125,
+        )
+        study = SimpleNamespace(fig10_similarity=lambda carrier: similarity)
+        (result,) = verify_claims(study, claims=[_claim("C12")])
+        assert result.passed is False
+        assert "same-/24 median 0.8975 <= 0.9" in result.evidence
+        assert "diff-/24 disjoint fraction 0.6125" in result.evidence
+        assert "0.6125 <=" not in result.evidence
+
+    def test_c15_names_the_carrier_whose_local_ping_is_not_closer(self):
+        def median(value):
+            return SimpleNamespace(median=value)
+
+        pings = {
+            "att": {"local-external": median(20.5), "google": median(20.25)},
+            "skt": {"local-external": median(12.0), "google": median(40.0)},
+        }
+        resolution = {"local": median(30.0), "google": median(45.0)}
+        study = SimpleNamespace(
+            world=SimpleNamespace(operators={"att": None, "skt": None}),
+            fig11_public_distance=lambda carrier: pings[carrier],
+            fig13_public_resolution=lambda carrier: resolution,
+        )
+        (result,) = verify_claims(study, claims=[_claim("C15")])
+        assert result.passed is False
+        assert "att ping: local 20.5 >= google 20.25ms" in result.evidence
+        assert "skt ping: local 12 vs google 40ms" in result.evidence

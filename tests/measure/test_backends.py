@@ -33,7 +33,6 @@ from repro.core.world import WorldConfig, build_world
 from repro.measure.backends import (
     BACKEND_CHOICES,
     get_backend,
-    load_dataset,
     resolve_backend,
     sniff_backend,
 )
@@ -143,7 +142,7 @@ class TestBackendRoundtrips:
             campaign = ShardedCampaign(_world(), _config(), workers=0)
             result = campaign.run_streaming(path, backend=name)
             assert result["content_hash"] == reference_hash
-            assert load_dataset(path).content_hash() == reference_hash
+            assert Dataset.load(path).content_hash() == reference_hash
 
     def test_columnar_key_columns_match_records(
         self, serial_dataset, tmp_path
@@ -159,6 +158,80 @@ class TestBackendRoundtrips:
         assert list(columns["sequence"]) == [
             r.sequence for r in serial_dataset
         ]
+
+
+# -- archive writer -----------------------------------------------------------
+
+
+def _shard_streams(dataset, blanks=False):
+    """The dataset's lines dealt into two event-ordered shard streams."""
+    lines = [record.to_json_line() for record in dataset.experiments]
+    shards = [lines[0::2], lines[1::2]]
+    if blanks:
+        shards = [
+            ["", *(line + "\n" for line in shard), "  ", "\n"]
+            for shard in shards
+        ]
+    return [iter(shard) for shard in shards]
+
+
+class TestArchiveWriter:
+    """``write_archive_lines``: every backend's archive is its own
+    shard writer, sealed with the metadata and renamed into place."""
+
+    @pytest.mark.parametrize("name", BACKEND_CHOICES)
+    def test_archive_matches_dataset_hash_and_count(
+        self, name, serial_dataset, reference_hash, tmp_path
+    ):
+        path = str(tmp_path / "archive")
+        count, digest = get_backend(name).write_archive_lines(
+            path, _shard_streams(serial_dataset), metadata={"seed": SEED}
+        )
+        assert count == len(serial_dataset)
+        assert digest == reference_hash
+        loaded = Dataset.load(path)
+        assert loaded.content_hash() == reference_hash
+        assert loaded.metadata == {"seed": SEED, "experiments": count}
+
+    @pytest.mark.parametrize("name", BACKEND_CHOICES)
+    def test_archive_tolerates_blank_lines(
+        self, name, serial_dataset, reference_hash, tmp_path
+    ):
+        backend = get_backend(name)
+        clean, dirty = str(tmp_path / "clean"), str(tmp_path / "dirty")
+        backend.write_archive_lines(clean, _shard_streams(serial_dataset))
+        count, digest = backend.write_archive_lines(
+            dirty, _shard_streams(serial_dataset, blanks=True)
+        )
+        assert count == len(serial_dataset)
+        assert digest == reference_hash
+        with open(clean, "rb") as a, open(dirty, "rb") as b:
+            assert a.read() == b.read()
+
+    @pytest.mark.parametrize("name", BACKEND_CHOICES)
+    def test_archive_feeds_sink_each_written_line(
+        self, name, serial_dataset, reference_hash, tmp_path
+    ):
+        seen = []
+        count, digest = get_backend(name).write_archive_lines(
+            str(tmp_path / "archive"),
+            _shard_streams(serial_dataset, blanks=True),
+            sink=seen.append,
+        )
+        assert count == len(seen) == len(serial_dataset)
+        assert seen == [r.to_json_line() for r in serial_dataset.experiments]
+        assert digest == reference_hash
+
+    @pytest.mark.parametrize("name", BACKEND_CHOICES)
+    def test_clean_write_leaves_no_tmp_files(
+        self, name, serial_dataset, tmp_path
+    ):
+        backend = get_backend(name)
+        path = str(tmp_path / f"archive{backend.shard_extension}")
+        backend.write_archive_lines(
+            path, _shard_streams(serial_dataset), metadata={"seed": SEED}
+        )
+        assert os.listdir(tmp_path) == [os.path.basename(path)]
 
 
 # -- truncated-tail handling (satellite 1) ------------------------------------
@@ -197,7 +270,25 @@ class TestTruncatedTail:
             Dataset.load_jsonl(corrupt)
         assert not isinstance(excinfo.value, TruncatedDatasetError)
 
-    def test_merge_over_torn_stream_reports_clean_count(self, serial_dataset):
+    def _torn_write_keeps_previous_archive(self, streams, tmp_path):
+        """Write ``streams()`` through every backend over an existing
+        archive; return the TruncatedDatasetError each torn write raised,
+        after checking the old archive's bytes survived untouched."""
+        errors = []
+        for name in BACKEND_CHOICES:
+            path = str(tmp_path / f"archive-{name}")
+            with open(path, "wb") as handle:
+                handle.write(b"previous archive bytes\n")
+            with pytest.raises(TruncatedDatasetError) as excinfo:
+                get_backend(name).write_archive_lines(path, streams())
+            with open(path, "rb") as handle:
+                assert handle.read() == b"previous archive bytes\n"
+            errors.append(excinfo.value)
+        return errors
+
+    def test_merge_over_torn_stream_reports_clean_count(
+        self, serial_dataset, tmp_path
+    ):
         lines = self._lines(serial_dataset)
         # rstrip the brace so the tear cannot coincidentally land on a
         # nested object boundary and still look closed.  Two live
@@ -206,25 +297,24 @@ class TestTruncatedTail:
         torn_line = lines[4][: len(lines[4]) // 2].rstrip("}")
         stream_a = [lines[0], lines[2], torn_line]
         stream_b = [lines[1], lines[3]] + lines[5:]
-        out = io.StringIO()
-        from repro.measure.records import merge_shard_jsonl
+        for error in self._torn_write_keeps_previous_archive(
+            lambda: [iter(stream_a), iter(stream_b)], tmp_path
+        ):
+            assert error.clean_records <= 4
+            assert error.partial_line == torn_line
 
-        with pytest.raises(TruncatedDatasetError) as excinfo:
-            merge_shard_jsonl([iter(stream_a), iter(stream_b)], out)
-        assert excinfo.value.clean_records <= 4
-        assert excinfo.value.partial_line == torn_line
-
-    def test_single_stream_merge_still_detects_tear(self, serial_dataset):
+    def test_single_stream_merge_still_detects_tear(
+        self, serial_dataset, tmp_path
+    ):
         # heapq.merge skips key computation once one iterator remains,
         # so the guard must also cover a one-stream merge.
         lines = self._lines(serial_dataset)
         torn_line = lines[3][: len(lines[3]) // 2].rstrip("}")
-        from repro.measure.records import merge_shard_jsonl
-
-        with pytest.raises(TruncatedDatasetError) as excinfo:
-            merge_shard_jsonl([iter(lines[:3] + [torn_line])], io.StringIO())
-        assert excinfo.value.clean_records == 3
-        assert excinfo.value.partial_line == torn_line
+        for error in self._torn_write_keeps_previous_archive(
+            lambda: [iter(lines[:3] + [torn_line])], tmp_path
+        ):
+            assert error.clean_records == 3
+            assert error.partial_line == torn_line
 
     @pytest.mark.parametrize("name", BACKEND_CHOICES)
     def test_backend_scan_classifies_clean_and_missing(
@@ -279,7 +369,7 @@ class TestCrashResume:
         resumed = run_checkpointed(campaign, output, backend=name, resume=True)
         assert resumed["content_hash"] == reference_hash
         assert resumed["total_shards"] == shards
-        assert load_dataset(output).content_hash() == reference_hash
+        assert Dataset.load(output).content_hash() == reference_hash
 
     def test_interrupt_after_n_commits_then_resume(
         self, reference_hash, tmp_path
@@ -388,7 +478,7 @@ class TestReconcile:
         assert statuses[5] == "missing"
         assert len(report.healed) == 2
         assert report.result["content_hash"] == reference_hash
-        assert load_dataset(output).content_hash() == reference_hash
+        assert Dataset.load(output).content_hash() == reference_hash
 
     def test_quarantine_preserves_corrupt_evidence(
         self, reference_hash, tmp_path

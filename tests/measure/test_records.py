@@ -15,8 +15,6 @@ from repro.measure.records import (
     ResolutionRecord,
     ResolverIdRecord,
     TracerouteRecord,
-    merge_shard_jsonl,
-    record_event_key,
 )
 
 
@@ -328,62 +326,6 @@ class TestDataset:
         withnan.experiments[0].resolutions[0].resolution_ms = float("nan")
         # NaN != NaN under equality, but the serialised text is stable.
         assert withnan.content_hash() == withnan.content_hash()
-
-    def _merged_dataset(self):
-        """The fixture dataset in merge (event-key) order."""
-        ordered = sorted(self._dataset().experiments, key=record_event_key)
-        return Dataset(experiments=ordered, metadata={"seed": 1})
-
-    def _shard_streams(self, dataset, blanks=False):
-        lines = [record.to_json_line() for record in dataset.experiments]
-        shards = [lines[0::2], lines[1::2]]
-        if blanks:
-            shards = [
-                ["", *(line + "\n" for line in shard), "  ", "\n"]
-                for shard in shards
-            ]
-        return shards
-
-    def test_merge_shard_jsonl_matches_dataset(self):
-        dataset = self._merged_dataset()
-        out = io.StringIO()
-        count, digest = merge_shard_jsonl(
-            (iter(shard) for shard in self._shard_streams(dataset)),
-            out,
-            metadata={"seed": 1},
-        )
-        assert count == 3
-        assert digest == dataset.content_hash()
-        loaded = Dataset.load_jsonl(out.getvalue().splitlines())
-        assert loaded.experiments == dataset.experiments
-        assert loaded.metadata == {"seed": 1, "experiments": 3}
-
-    def test_merge_shard_jsonl_tolerates_blank_lines(self):
-        dataset = self._merged_dataset()
-        clean, dirty = io.StringIO(), io.StringIO()
-        merge_shard_jsonl(
-            (iter(s) for s in self._shard_streams(dataset)), clean
-        )
-        count, digest = merge_shard_jsonl(
-            (iter(s) for s in self._shard_streams(dataset, blanks=True)),
-            dirty,
-        )
-        assert count == 3
-        assert digest == dataset.content_hash()
-        assert dirty.getvalue() == clean.getvalue()
-
-    def test_merge_shard_jsonl_feeds_sink_each_written_line(self):
-        dataset = self._merged_dataset()
-        seen = []
-        out = io.StringIO()
-        count, digest = merge_shard_jsonl(
-            (iter(s) for s in self._shard_streams(dataset, blanks=True)),
-            out,
-            sink=seen.append,
-        )
-        assert count == len(seen) == 3
-        assert seen == [r.to_json_line() for r in dataset.experiments]
-        assert digest == dataset.content_hash()
 
     @given(
         st.lists(
