@@ -25,6 +25,15 @@ shards have committed, and a fresh campaign object resumes it — the
 resumed archive's content hash must be byte-identical to the first
 leg's uninterrupted streaming hash.
 
+The warm pool of the first two legs is bounded too: once it joins,
+the largest peak RSS of any of its workers (``RUSAGE_CHILDREN``
+``ru_maxrss``) must stay under :data:`WORKER_PEAK_LIMIT_MB`.  A worker
+runs thousands of experiments, so per-experiment state it keeps shows
+up here as growth with campaign length.  The resume leg's reading is
+printed but not gated: its workers fork from a parent that by then
+holds the accumulator and two more worlds, and fork-context workers
+start with the parent's resident pages.
+
 Usage::
 
     PYTHONPATH=src python scripts/bench_scale.py [--scale 10] [--days 2]
@@ -34,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -60,6 +70,24 @@ PEAK_LIMIT_MB = 32.0
 #: so a breach still means some layer started retaining records.
 ACCUMULATOR_PEAK_LIMIT_MB = 256.0
 
+#: Ceiling on the first two legs' pool workers' peak RSS.  Measured at
+#: the default 10x scale, 2 days, 2 fork-context workers on a 2-core box:
+#: 200.2 and 202.6MB while every experiment's RNG stream and probe leg
+#: programs outlived the experiment, 68.2 and 68.3MB once they die with
+#: it.  The bound sits between the two, so a layer that starts keeping
+#: per-experiment state again fails it.
+WORKER_PEAK_LIMIT_MB = 128.0
+
+
+def _worker_peak_mb() -> float:
+    """Largest peak RSS of any reaped child process so far, in MB.
+
+    ``RUSAGE_CHILDREN`` only covers children that have been waited for,
+    so read it after a pool joins; it is a running maximum over every
+    leg so far, not a per-leg figure.
+    """
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -76,9 +104,10 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # The bounds measure the parent.  Fork-context pool workers would
-    # inherit an active trace and pay tracemalloc on every allocation of
-    # the simulation itself, so children stop tracing as they start.
+    # The traced bounds measure the parent.  Fork-context pool workers
+    # would inherit an active trace and pay tracemalloc on every
+    # allocation of the simulation itself, so children stop tracing as
+    # they start.
     os.register_at_fork(after_in_child=tracemalloc.stop)
 
     config = CampaignConfig(
@@ -148,6 +177,18 @@ def main(argv=None) -> int:
         sink_peak_mb = tracemalloc.get_traced_memory()[1] / (1024 * 1024)
         tracemalloc.stop()
     campaign.close()
+    worker_peak_mb = _worker_peak_mb()
+    print(
+        f"bench-scale: streaming + accumulator legs (one warm pool): "
+        f"worker peak RSS {worker_peak_mb:.1f}MB"
+    )
+    if worker_peak_mb >= WORKER_PEAK_LIMIT_MB:
+        print(
+            f"FAIL: worker peak RSS {worker_peak_mb:.1f}MB breaches the "
+            f"{WORKER_PEAK_LIMIT_MB:.0f}MB worker bound",
+            file=sys.stderr,
+        )
+        return 1
     if campaign.pool_stats["reused"] < 1:
         print(
             "FAIL: the accumulator leg did not reuse the first leg's "
@@ -247,6 +288,10 @@ def main(argv=None) -> int:
         resumed = run_checkpointed(resumed_campaign, output, resume=True)
         resume_elapsed = time.perf_counter() - started
         resumed_campaign.close()
+    print(
+        f"bench-scale: resume leg: worker peak RSS {_worker_peak_mb():.1f}MB "
+        f"(running max; includes parent pages inherited at fork, not gated)"
+    )
     print(
         f"bench-scale: resumed {resumed['resumed_shards']} committed "
         f"shards, executed {resumed['executed_shards']} of "

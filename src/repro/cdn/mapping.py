@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.addressing import prefix24
 from repro.core.clock import SECONDS_PER_DAY
-from repro.core.rng import stable_fraction, stable_index
+from repro.core.rng import stable_fraction_uncached, stable_index_uncached
 from repro.geo.coordinates import GeoPoint
 
 #: Looks an IP up and reports (location, is_cellular); the study builder
@@ -91,7 +91,7 @@ class MappingPolicy:
         located = self.locator(anchor_ip)
         if located is None:
             # Unknown space: arbitrary but stable assignment.
-            return stable_index(
+            return stable_index_uncached(
                 self.seed, "unknown", block, epoch, modulo=len(self.cluster_locations)
             )
         location, is_cellular = located
@@ -99,10 +99,10 @@ class MappingPolicy:
             error_km = self.ecs_error_km
         elif is_cellular:
             if (
-                stable_fraction(self.seed, "blunder", block, epoch)
+                stable_fraction_uncached(self.seed, "blunder", block, epoch)
                 < self.cellular_blunder_prob
             ):
-                return stable_index(
+                return stable_index_uncached(
                     self.seed, "blunder-pick", block, epoch,
                     modulo=len(self.cluster_locations),
                 )
@@ -119,10 +119,10 @@ class MappingPolicy:
         self, location: GeoPoint, block: str, epoch: int, error_km: float
     ) -> GeoPoint:
         north = (
-            stable_fraction(self.seed, "err-n", block, epoch) - 0.5
+            stable_fraction_uncached(self.seed, "err-n", block, epoch) - 0.5
         ) * 2.0 * error_km
         east = (
-            stable_fraction(self.seed, "err-e", block, epoch) - 0.5
+            stable_fraction_uncached(self.seed, "err-e", block, epoch) - 0.5
         ) * 2.0 * error_km
         return location.offset_km(north, east)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.clock import SECONDS_PER_DAY
-from repro.core.rng import stable_fraction, stable_index
+from repro.core.rng import stable_fraction_uncached, stable_index_uncached
 from repro.geo.coordinates import GeoPoint
 from repro.geo.regions import City
 
@@ -58,11 +58,11 @@ class MobilityModel:
         return anchor
 
     def _anchor_city_at(self, epoch: int) -> City:
-        draw = stable_fraction(self.seed, "travel", self.device_key, epoch)
+        draw = stable_fraction_uncached(self.seed, "travel", self.device_key, epoch)
         if draw >= self.travel_probability or len(self.candidate_cities) <= 1:
             return self.home_city
         away = [city for city in self.candidate_cities if city is not self.home_city]
-        pick = stable_index(
+        pick = stable_index_uncached(
             self.seed, "trip", self.device_key, epoch, modulo=len(away)
         )
         return away[pick]
@@ -82,10 +82,10 @@ class MobilityModel:
             return cached
         anchor = self.anchor_city(now)
         north = (
-            stable_fraction(self.seed, "wander-n", self.device_key, hour) - 0.5
+            stable_fraction_uncached(self.seed, "wander-n", self.device_key, hour) - 0.5
         ) * 2.0 * self.wander_km
         east = (
-            stable_fraction(self.seed, "wander-e", self.device_key, hour) - 0.5
+            stable_fraction_uncached(self.seed, "wander-e", self.device_key, hour) - 0.5
         ) * 2.0 * self.wander_km
         point = anchor.location.offset_km(north, east)
         self._location_memo[key] = point

@@ -34,7 +34,7 @@ from repro.core.addressing import Prefix
 from repro.core.asn import AutonomousSystem
 from repro.core.internet import VirtualInternet
 from repro.core.node import Host, ProbeOrigin
-from repro.core.rng import RandomStream, stable_fraction, stable_index
+from repro.core.rng import RandomStream, stable_index, stable_index_uncached
 from repro.core.transport import Transport
 from repro.dns.indirect import DnsDeployment, ExternalResolver
 from repro.dns.message import ResourceRecord, RRType
@@ -305,7 +305,7 @@ class CellularOperator:
         epoch = int(now // self.churn.ip_epoch_s)
         slice_count = max(self.client_pool_prefix.size // 256, 1)
         base = (egress_index % slice_count) * 256
-        offset = stable_index(
+        offset = stable_index_uncached(
             self.seed, "client-ip", device.device_id, epoch, modulo=254
         )
         return self.client_pool_prefix.host(base + offset + 1)

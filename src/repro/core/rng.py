@@ -87,21 +87,22 @@ def derive_seed(master_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@lru_cache(maxsize=1 << 18)
-def _derived_from_parts(master_seed: int, parts: tuple) -> int:
-    """Memoised ``derive_seed`` over raw name parts.
-
-    ``stable_index``/``stable_fraction`` are keyed by epoch-quantised
-    inputs (device, hour, lease epoch, ...), so the same parts recur for
-    every probe inside an epoch; hashing the tuple beats re-joining the
-    name string and re-running SHA-256 each time.  Purity makes the memo
-    invisible to determinism.  The miss path is ``derive_seed`` inlined
-    (same name string, same digest) because epoch rollovers put it on
-    the campaign hot path.
-    """
+def _seed_from_parts(master_seed: int, parts: tuple) -> int:
+    """``derive_seed`` over raw name parts (same name string, same digest)."""
     name = ":".join(map(str, parts))
     digest = hashlib.sha256(f"{master_seed}:{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+#: Memoised :func:`_seed_from_parts`.  ``stable_index``/``stable_fraction``
+#: are keyed by epoch-quantised inputs (device, hour, lease epoch, ...),
+#: so the same parts recur for every probe inside an epoch; hashing the
+#: tuple beats re-joining the name string and re-running SHA-256 each
+#: time.  Purity makes the memo invisible to determinism.  Key families
+#: that never repeat here (per-probe or per-slot keys, or keys whose
+#: caller already memoises the result) go through the ``*_uncached``
+#: helpers instead, so they neither pay for an insert nor fill the memo.
+_derived_from_parts = lru_cache(maxsize=1 << 18)(_seed_from_parts)
 
 
 def derived_seed_cache_info() -> Dict[str, int]:
@@ -652,19 +653,57 @@ class RandomStream:
         return f"RandomStream(name={self.name!r})"
 
 
-class RngRegistry:
-    """Factory and cache of named :class:`RandomStream` objects.
+def _fold_pool_counters(totals: Dict[str, int], stream: RandomStream) -> None:
+    """Add one stream's draw-pool counters to ``totals``."""
+    totals["streams"] += 1
+    totals["pool_refills"] += stream.pool_refills
+    totals["pool_uniforms"] += stream.pool_generated
+    totals["pool_hits"] += stream.pool_hits
+    totals["pool_realignments"] += stream.pool_realignments
+    totals["weighted_memo_entries"] += len(stream._cum_memo)
 
-    The registry hands out one stream per name; asking for the same name
-    twice returns the same stream so a component's draws stay sequential.
+
+class RngRegistry:
+    """Factory of named :class:`RandomStream` objects.
+
+    It hands out two kinds of stream:
+
+    * **Kept streams** (:meth:`stream`): cached by name for the life of
+      the registry, so asking for the same name twice returns the same
+      stream and a component's draws stay sequential.  World build,
+      population and analysis streams are kept.
+    * **Lent streams** (:meth:`lend`): built fresh under their name and
+      never stored.  Each experiment borrows one and hands it back with
+      :meth:`release` when it returns; the registry folds the stream's
+      pool counters into its totals and drops it.  A stream is a pure
+      function of ``(master_seed, name)``, so not keeping it changes no
+      draw, and a long campaign's memory stops growing with its
+      experiment count.
     """
 
     def __init__(self, master_seed: int) -> None:
         self.master_seed = master_seed
         self._streams: dict = {}
+        #: Streams handed out by :meth:`lend`, released or not.  Nonzero
+        #: means something has drawn from the registry beyond its kept
+        #: streams (the world snapshot's pristineness witness reads it).
+        self.lent = 0
+        #: Pool counters of released streams (:meth:`pool_stats` adds
+        #: the kept streams' live counters on top).
+        self._released: Dict[str, int] = dict.fromkeys(
+            (
+                "streams",
+                "pool_refills",
+                "pool_uniforms",
+                "pool_hits",
+                "pool_realignments",
+                "weighted_memo_entries",
+            ),
+            0,
+        )
 
     def stream(self, *name_parts: object) -> RandomStream:
-        """Return the stream for the given dotted name parts.
+        """Return the kept stream for the given dotted name parts.
 
         Example: ``registry.stream("device", device_id, "radio")``.
         """
@@ -673,36 +712,41 @@ class RngRegistry:
             self._streams[name] = RandomStream(self.master_seed, name)
         return self._streams[name]
 
+    def lend(self, *name_parts: object) -> RandomStream:
+        """A fresh stream for the given name parts, not kept here.
+
+        The borrower hands it back with :meth:`release`.  Lending the
+        same name twice yields two streams that start from the same
+        draw.
+        """
+        self.lent += 1
+        return RandomStream(self.master_seed, ".".join(map(str, name_parts)))
+
+    def release(self, stream: RandomStream) -> None:
+        """Fold a lent stream's pool counters into the registry totals."""
+        _fold_pool_counters(self._released, stream)
+
     def fork(self, suffix: str) -> "RngRegistry":
         """A registry whose streams are all independent of this one's."""
         return RngRegistry(derive_seed(self.master_seed, f"fork:{suffix}"))
 
     def known_streams(self) -> Iterable[str]:
-        """Names of the streams created so far (for debugging)."""
+        """Names of the kept streams created so far (for debugging)."""
         return sorted(self._streams)
 
     def pool_stats(self) -> Dict[str, int]:
         """Aggregate draw-pool counters across every stream.
 
-        Feeds the ``sampler`` section of ``BENCH_campaign.json``:
-        refills > 0 on the bench path is the bench gate's sanity check
-        that the campaign actually rides the pools.
+        Kept streams count with their live counters, released lent
+        streams with the counters they had on release.  Feeds the
+        ``sampler`` section of ``BENCH_campaign.json``: refills > 0 on
+        the bench path is the bench gate's sanity check that the
+        campaign actually rides the pools.
         """
-        refills = generated = hits = realignments = memo_entries = 0
+        totals = dict(self._released)
         for stream in self._streams.values():
-            refills += stream.pool_refills
-            generated += stream.pool_generated
-            hits += stream.pool_hits
-            realignments += stream.pool_realignments
-            memo_entries += len(stream._cum_memo)
-        return {
-            "streams": len(self._streams),
-            "pool_refills": refills,
-            "pool_uniforms": generated,
-            "pool_hits": hits,
-            "pool_realignments": realignments,
-            "weighted_memo_entries": memo_entries,
-        }
+            _fold_pool_counters(totals, stream)
+        return totals
 
     def __repr__(self) -> str:
         return f"RngRegistry(master_seed={self.master_seed}, streams={len(self._streams)})"
@@ -742,3 +786,20 @@ def stable_index(master_seed: int, *parts: object, modulo: int) -> int:
 def stable_fraction(master_seed: int, *parts: object) -> float:
     """Deterministic pseudo-random float in [0, 1), pure in its inputs."""
     return _derived_from_parts(master_seed, parts) / float(1 << 64)
+
+
+def stable_index_uncached(master_seed: int, *parts: object, modulo: int) -> int:
+    """:func:`stable_index` without the memo, for keys that never repeat.
+
+    Same value for the same inputs; used where the parts carry a
+    per-probe time or a schedule slot, so a memo entry would never be
+    hit again and would only grow with the campaign.
+    """
+    if modulo <= 0:
+        raise ValueError("modulo must be positive")
+    return _seed_from_parts(master_seed, parts) % modulo
+
+
+def stable_fraction_uncached(master_seed: int, *parts: object) -> float:
+    """:func:`stable_fraction` without the memo, for keys that never repeat."""
+    return _seed_from_parts(master_seed, parts) / float(1 << 64)

@@ -338,22 +338,25 @@ _SNAPSHOT_CACHE: Dict[str, bytes] = {}
 SNAPSHOT_TIMINGS: Dict[str, float] = {}
 
 #: RNG stream prefixes :func:`build_world` itself creates.  Any other
-#: stream on the registry means someone has drawn from the world since
-#: it was built — it is no longer the pristine state a snapshot must
-#: capture.
+#: kept stream on the registry means someone has drawn from the world
+#: since it was built — it is no longer the pristine state a snapshot
+#: must capture.
 _BUILD_STREAM_PREFIXES = ("cdn.", "public.", "carrier.")
 
 
 def _is_pristine(world: World) -> bool:
     """True while nothing has drawn from the world since build.
 
-    Keyed off the RNG registry: every consumer (population build,
-    experiment runner, analysis, benches) opens streams outside the
-    build-time namespaces, so a registry holding only build-time
-    streams is an exact pristineness witness.
+    Keyed off the RNG registry: every consumer opens streams outside
+    the build-time namespaces — kept ones (population build, analysis,
+    benches) or lent ones (each experiment) — so a registry that has
+    lent nothing and keeps only build-time streams is an exact
+    pristineness witness.
     """
-    streams = getattr(world.rng, "_streams", {})
-    return all(name.startswith(_BUILD_STREAM_PREFIXES) for name in streams)
+    rng = world.rng
+    return rng.lent == 0 and all(
+        name.startswith(_BUILD_STREAM_PREFIXES) for name in rng._streams
+    )
 
 
 def snapshot_world(world: World) -> Optional[bytes]:

@@ -27,7 +27,12 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.errors import ConfigError
 from repro.core.node import Host
-from repro.core.rng import stable_fraction, stable_index
+from repro.core.rng import (
+    stable_fraction,
+    stable_fraction_uncached,
+    stable_index,
+    stable_index_uncached,
+)
 from repro.dns.recursive import RecursiveEngine
 from repro.geo.regions import City
 
@@ -154,7 +159,7 @@ class StickyPoolPairing(PairingPolicy):
         if not pool:
             raise ConfigError(f"no pool behind {client_address.ip}")
         epoch = int(now // self.rehome_period_s)
-        draw = stable_fraction(
+        draw = stable_fraction_uncached(
             self.seed, "sticky", client_address.ip, device_key, now
         )
         if draw < self.stickiness:
@@ -168,7 +173,7 @@ class StickyPoolPairing(PairingPolicy):
                 modulo=len(pool),
             )
             return pool[home]
-        pick = stable_index(
+        pick = stable_index_uncached(
             self.seed,
             "balance",
             client_address.ip,

@@ -22,7 +22,12 @@ from repro.core.addressing import Prefix
 from repro.core.asn import ASKind, AutonomousSystem, FirewallPolicy
 from repro.core.internet import VirtualInternet
 from repro.core.node import Host, ProbeOrigin
-from repro.core.rng import RandomStream, stable_fraction, stable_index
+from repro.core.rng import (
+    RandomStream,
+    stable_fraction_uncached,
+    stable_index,
+    stable_index_uncached,
+)
 from repro.core.transport import Transport
 from repro.dns.cache import DnsCache
 from repro.dns.message import RRType
@@ -163,12 +168,12 @@ class PublicDnsService:
                     ),
                 )
                 self._ranking_memo[ranking_key] = ranked
-            draw = stable_fraction(self.seed, "route", device_key, epoch)
+            draw = stable_fraction_uncached(self.seed, "route", device_key, epoch)
             if draw >= self.route_instability or len(ranked) == 1:
                 cluster = ranked[0]
             else:
                 breadth = min(self.wobble_breadth, len(ranked) - 1)
-                shift = stable_index(
+                shift = stable_index_uncached(
                     self.seed, "wobble", device_key, epoch, modulo=breadth
                 )
                 cluster = ranked[1 + shift]

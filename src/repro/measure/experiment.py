@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 
 from repro.cdn.catalog import domain_names
 from repro.cellnet.device import MobileDevice
-from repro.core.rng import RngRegistry
+from repro.core.rng import RandomStream, RngRegistry
 from repro.core.world import World
 from repro.measure.probes import DeviceProbeSession
 from repro.measure.records import ExperimentRecord, ResolutionRecord
@@ -67,9 +67,27 @@ class ExperimentRunner:
     def run(
         self, device: MobileDevice, started_at: float, sequence: int
     ) -> ExperimentRecord:
-        """Execute one experiment and return its record."""
+        """Execute one experiment and return its record.
+
+        The experiment's stream is lent, not kept: the registry never
+        stores it and folds its pool counters in when the experiment
+        returns, so nothing drawn here outlives the record.
+        """
+        rng = self._rng
+        stream = rng.lend("experiment", device.device_id, sequence)
+        try:
+            return self._run(device, started_at, sequence, stream)
+        finally:
+            rng.release(stream)
+
+    def _run(
+        self,
+        device: MobileDevice,
+        started_at: float,
+        sequence: int,
+        stream: RandomStream,
+    ) -> ExperimentRecord:
         options = self.options
-        stream = self._rng.stream("experiment", device.device_id, sequence)
         session = self.session_class.begin(self.world, device, started_at, stream)
         now = started_at
         location = device.coarse_location(started_at)

@@ -69,11 +69,11 @@ class DeviceProbeSession:
     _replica_memo: Dict[str, object] = field(default_factory=dict, repr=False)
     #: Per-target leg programs for the fused fault-free probe paths,
     #: keyed (ip, device location, egress ip) — everything the leg
-    #: decomposition depends on.  The key is session-independent
-    #: (locations hash by value, egress IPs imply the operator), so
-    #: ``begin`` rebinds this to one world-level dict: mobility anchors
-    #: recur across experiments, and a target's legs survive the session
-    #: that first computed them.
+    #: decomposition depends on.  Session-local like the other memos:
+    #: repeats happen inside one experiment (ping then HTTP to a replica,
+    #: the resolver probes), while a world-level memo measured zero hits
+    #: across experiments, because the hourly wander moves the device's
+    #: location between them.
     _leg_memo: Dict[tuple, tuple] = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -103,11 +103,6 @@ class DeviceProbeSession:
             attachment=operator.attachment(device, now),
             stream=stream,
         )
-        internet = world.internet
-        leg_memo = getattr(internet, "_probe_leg_memo", None)
-        if leg_memo is None:
-            leg_memo = internet._probe_leg_memo = {}
-        session._leg_memo = leg_memo
         session._attachment_memo[
             operator.attachment_epoch_key(device, now)
         ] = session.attachment
@@ -334,10 +329,7 @@ class DeviceProbeSession:
         """``(legs, jitter_draws, penalty, stack)`` for one delivered
         target, memoised per (ip, location, egress)."""
         egress_location = egress.location if egress is not None else location
-        # The egress IP pins the operator (egress hosts are per-carrier),
-        # so the key stays valid in the shared world-level memo; without
-        # an egress the operator key disambiguates same_operator.
-        key = (ip, location, egress.ip if egress is not None else self.operator.key)
+        key = (ip, location, egress.ip if egress is not None else None)
         cached = self._leg_memo.get(key)
         if cached is None:
             internet = self.world.internet
@@ -371,8 +363,7 @@ class DeviceProbeSession:
                 destination.interior_penalty_ms,
                 destination.stack_latency_ms,
             )
-            if len(self._leg_memo) < 1_000_000:
-                self._leg_memo[key] = cached
+            self._leg_memo[key] = cached
         return cached
 
     def _fast_dns_local(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from repro.core.clock import SECONDS_PER_HOUR
-from repro.core.rng import stable_fraction
+from repro.core.rng import stable_fraction, stable_fraction_uncached
 
 
 @dataclass
@@ -51,10 +51,10 @@ class ExperimentSchedule:
             base = self.start + phase + slot * self.interval_s
             if base >= self.end:
                 return
-            keep = stable_fraction(self.seed, "duty", device_key, slot)
+            keep = stable_fraction_uncached(self.seed, "duty", device_key, slot)
             if keep < self.duty_cycle:
                 jitter = (
-                    stable_fraction(self.seed, "jitter", device_key, slot) - 0.5
+                    stable_fraction_uncached(self.seed, "jitter", device_key, slot) - 0.5
                 ) * 2.0 * self.jitter_fraction * self.interval_s
                 at = min(max(self.start, base + jitter), self.end - 1.0)
                 yield at

@@ -10,7 +10,9 @@ from repro.core.rng import (
     derive_seed,
     spread_evenly,
     stable_fraction,
+    stable_fraction_uncached,
     stable_index,
+    stable_index_uncached,
 )
 
 
@@ -101,6 +103,38 @@ class TestRngRegistry:
         registry.stream("two")
         assert list(registry.known_streams()) == ["one", "two"]
 
+    def test_lent_stream_draws_like_a_kept_one_and_is_not_kept(self):
+        registry = RngRegistry(5)
+        lent = registry.lend("experiment", "d1", 0)
+        assert lent.name == "experiment.d1.0"
+        kept = RngRegistry(5).stream("experiment", "d1", 0)
+        assert [lent.random() for _ in range(5)] == [
+            kept.random() for _ in range(5)
+        ]
+        assert registry.lend("experiment", "d1", 0) is not lent
+        assert list(registry.known_streams()) == []
+        assert registry.lent == 2
+
+    def test_release_folds_pool_counters(self):
+        registry = RngRegistry(5)
+        kept = registry.stream("kept")
+        kept.gauss_block(3)
+        lent = registry.lend("lent")
+        lent.weighted_choice(("a", "b"), (1.0, 2.0))
+        lent.gauss_block(700)  # spans a refill boundary
+        expected = {
+            "streams": 2,
+            "pool_refills": kept.pool_refills + lent.pool_refills,
+            "pool_uniforms": kept.pool_generated + lent.pool_generated,
+            "pool_hits": kept.pool_hits + lent.pool_hits,
+            "pool_realignments": 0,
+            "weighted_memo_entries": 1,
+        }
+        registry.release(lent)
+        del lent
+        assert registry.pool_stats() == expected
+        assert expected["pool_refills"] == 3
+
 
 class TestStableFunctions:
     def test_stable_index_pure(self):
@@ -120,6 +154,19 @@ class TestStableFunctions:
     def test_stable_fraction_in_unit_interval(self, seed, name):
         value = stable_fraction(seed, name)
         assert 0.0 <= value < 1.0
+
+    @given(st.integers(), st.text(max_size=20), st.integers())
+    def test_uncached_helpers_match_memoised_ones(self, seed, name, epoch):
+        assert stable_fraction_uncached(seed, name, epoch) == stable_fraction(
+            seed, name, epoch
+        )
+        assert stable_index_uncached(
+            seed, name, epoch, modulo=97
+        ) == stable_index(seed, name, epoch, modulo=97)
+
+    def test_stable_index_uncached_rejects_bad_modulo(self):
+        with pytest.raises(ValueError):
+            stable_index_uncached(1, "x", modulo=0)
 
     def test_stable_index_roughly_uniform(self):
         counts = [0] * 4

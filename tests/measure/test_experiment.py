@@ -4,7 +4,10 @@ import pytest
 
 from repro.cellnet.device import MobileDevice
 from repro.cellnet.mobility import MobilityModel
+from repro.core.world import WorldConfig, _is_pristine, build_world, snapshot_world
+from repro.measure.campaign import Campaign, CampaignConfig
 from repro.measure.experiment import ExperimentOptions, ExperimentRunner
+from repro.measure.probes import DeviceProbeSession
 from repro.geo.regions import US_CITIES, city_named
 
 
@@ -105,7 +108,7 @@ class TestExperimentOptions:
         assert len(record.http_gets) <= 2
 
     def test_reproducible_across_fresh_worlds(self):
-        # Replaying in one world differs (caches and RNG streams advance);
+        # Replaying in one world differs (resolver caches advance);
         # determinism is defined over fresh worlds with the same seed.
         from repro.core.world import build_world
 
@@ -124,3 +127,70 @@ class TestExperimentOptions:
             return ExperimentRunner(world).run(fresh, started_at=7200.0, sequence=9)
 
         assert run_once() == run_once()
+
+
+class _RecordingSession(DeviceProbeSession):
+    """Keeps every session it opens, so tests can inspect them."""
+
+    opened: list = []
+
+    @classmethod
+    def begin(cls, world, device, now, stream):
+        session = super().begin(world, device, now, stream)
+        cls.opened.append(session)
+        return session
+
+
+class TestPerExperimentState:
+    """What one experiment builds dies with it; what it counted does not."""
+
+    TINY = dict(device_scale=0.05, duration_days=2.0, interval_hours=24.0)
+
+    def test_pool_stats_count_every_experiment_stream(self, monkeypatch):
+        monkeypatch.setattr(_RecordingSession, "opened", [])
+        world = build_world(WorldConfig(seed=2014))
+        campaign = Campaign(world, CampaignConfig(**self.TINY))
+        campaign.runner.session_class = _RecordingSession
+        dataset = campaign.run()
+        streams = [session.stream for session in _RecordingSession.opened]
+        assert len(streams) == len(dataset.experiments) > 0
+        streams += world.rng._streams.values()
+        stats = world.rng.pool_stats()
+        assert stats["streams"] == len(streams)
+        assert stats["pool_refills"] == sum(s.pool_refills for s in streams)
+        assert stats["pool_uniforms"] == sum(s.pool_generated for s in streams)
+        assert stats["pool_hits"] == sum(s.pool_hits for s in streams)
+        assert stats["weighted_memo_entries"] == sum(
+            len(s._cum_memo) for s in streams
+        )
+        assert stats["pool_refills"] >= len(dataset.experiments)
+
+    def test_world_after_one_experiment_is_not_pristine(self, device):
+        # A seed no other test snapshots, so the config-keyed snapshot
+        # cache cannot answer first.
+        world = build_world(WorldConfig(seed=432102))
+        assert _is_pristine(world)
+        ExperimentRunner(world).run(device, started_at=0.0, sequence=0)
+        assert not _is_pristine(world)
+        assert snapshot_world(world) is None
+
+    def test_registry_does_not_grow_with_experiments(self, device):
+        world = build_world(WorldConfig(seed=2014))
+        runner = ExperimentRunner(world)
+        runner.run(device, started_at=0.0, sequence=0)
+        kept = list(world.rng.known_streams())
+        for sequence in range(1, 6):
+            runner.run(device, started_at=3600.0 * sequence, sequence=sequence)
+        assert list(world.rng.known_streams()) == kept
+        assert world.rng.lent == 6
+
+    def test_leg_memo_is_per_session(self, monkeypatch):
+        monkeypatch.setattr(_RecordingSession, "opened", [])
+        world = build_world(WorldConfig(seed=2014))
+        campaign = Campaign(world, CampaignConfig(**self.TINY))
+        campaign.runner.session_class = _RecordingSession
+        campaign.run()
+        memos = [session._leg_memo for session in _RecordingSession.opened]
+        assert any(memos)
+        assert len({id(memo) for memo in memos}) == len(memos)
+        assert not hasattr(world.internet, "_probe_leg_memo")
