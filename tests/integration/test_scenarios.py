@@ -31,6 +31,49 @@ TINY_GOLDEN_HASHES = {
     99: "d247105c1b5868fe403354aee2be8e37c4f3102486dfd899332298e339392750",
 }
 
+#: Tiny-scale goldens of each bundled fault scenario (same campaign as
+#: ``TINY_GOLDEN_HASHES``).  They pin the probe bodies' behaviour under
+#: faults: gate verdicts, drop draws, retries and timeouts.
+SCENARIO_GOLDEN_HASHES = {
+    "resolver-outage": {
+        2014: "9b7e7574202f4819e2a4c0a9abe53f10d79a2b31744993d491cb4297b33bc761",
+        7: "1de5efe05e3a303754e48eb39d4142c95ba15bffe49d23294c460b6a613ff351",
+        99: "7edf5f33c834236ad50304a26427a1d2097f08c22bb948297ee20a487c44309f",
+    },
+    "lossy-2g": {
+        2014: "427ff0f0abf5949b0e384022c7920a5aa5b67bf7fe02b1455c793b6eda67f59e",
+        7: "0c8772ddd1dd27d1e6e08007887189e96f5b386acd4d63796cf9a625474f7360",
+        99: "39b5ed59dbb2d20cbe2f7510cd9bec3b2ed328154377fcc595b05d9f4e61ef79",
+    },
+    "egress-failover": {
+        2014: "a0619eab91b3ade23352b5dc59797a67913135da6a08cf100c94da3e9d9a7e20",
+        7: "ee6c2ec728d0857a6e0443205325da70f247730195a64ac1e6efc3b9a4e75ad2",
+        99: "f8ff4f87642d315a1ed7e76410ef60d762419554c494ec45678b169202e00760",
+    },
+}
+
+#: ``TransportCounters.as_dict()`` after the seed-2014 tiny run of each
+#: bundled fault scenario: every send and retry is counted exactly once.
+SCENARIO_COUNTERS = {
+    "resolver-outage": {
+        "delivered": 4437, "filtered": 0, "timed_out": 241, "lost": 0,
+        "retries": 152, "attempts": 4678,
+    },
+    "lossy-2g": {
+        "delivered": 4540, "filtered": 0, "timed_out": 13, "lost": 188,
+        "retries": 169, "attempts": 4741,
+    },
+    "egress-failover": {
+        "delivered": 4563, "filtered": 0, "timed_out": 13, "lost": 0,
+        "retries": 0, "attempts": 4576,
+    },
+}
+
+#: Content hash of the lossy-2g campaign at the paper's Table-1
+#: population (device_scale=1.0), 4 days, 12 h interval, seed 2014:
+#: the same value as ``LOSSY_4D_GOLDEN`` in ``perfbench/workloads.py``.
+LOSSY_4D_GOLDEN = "780b3acd408aba9f3760bd5014848be5f8fcb9053d5cf7413ab53628c5a19117"
+
 
 def _tiny_study(seed: int, scenario=None) -> CellularDNSStudy:
     world = WorldConfig(seed=seed)
@@ -71,6 +114,41 @@ class TestByteIdentity:
     def test_baseline_equals_no_scenario_for_any_seed(self, seed):
         # The policy-only baseline scenario must never perturb a draw.
         assert _tiny_hash(seed, "baseline") == _tiny_hash(seed)
+
+
+class TestScenarioGoldens:
+    @pytest.mark.parametrize(
+        "scenario,seed",
+        [
+            (scenario, seed)
+            for scenario, hashes in sorted(SCENARIO_GOLDEN_HASHES.items())
+            for seed in sorted(hashes)
+        ],
+    )
+    def test_scenario_matches_its_golden(self, scenario, seed):
+        assert _tiny_hash(seed, scenario) == SCENARIO_GOLDEN_HASHES[scenario][seed]
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIO_COUNTERS))
+    def test_scenario_transport_counters(self, scenario):
+        study = _tiny_study(2014, scenario)
+        study.dataset
+        counters = study.campaign.world.transport.counters
+        assert counters.as_dict() == SCENARIO_COUNTERS[scenario]
+
+    def test_lossy_table1_four_days_matches_its_golden(self):
+        world = WorldConfig(seed=2014)
+        world.scenario = load_scenario("lossy-2g")
+        study = CellularDNSStudy(
+            StudyConfig(
+                seed=2014,
+                device_scale=1.0,
+                duration_days=4.0,
+                interval_hours=12.0,
+                executor="serial",
+                world=world,
+            )
+        )
+        assert study.dataset.content_hash() == LOSSY_4D_GOLDEN
 
 
 @pytest.fixture(scope="module")
