@@ -219,9 +219,12 @@ class FaultRuntime:
 class Transport:
     """The one object every simulated packet crosses.
 
-    Owned by :class:`~repro.core.world.World`; probe sessions, the
-    recursive resolver and the public DNS services all route their sends
-    through it and act on the returned :class:`Delivery`.
+    Owned by :class:`~repro.core.world.World`; the recursive resolver,
+    the public DNS services and traceroutes route their sends through it
+    and act on the returned :class:`Delivery`.  Device probe sessions
+    classify their DNS, ping and HTTP sends inline, in one body per
+    probe, against the same counters, policy and fault runtime (see
+    :mod:`repro.measure.probes`).
     """
 
     def __init__(
@@ -377,44 +380,6 @@ class Transport:
         return Delivery(
             DELIVERED, internet.flow_rtt(origin, destination_ip, stream, route=route)
         )
-
-    def http(
-        self,
-        origin: ProbeOrigin,
-        replica,
-        stream: RandomStream,
-        route: Optional[RouteView] = None,
-        carrier: Optional[str] = None,
-        now: float = 0.0,
-        probe: Optional[str] = None,
-    ) -> Delivery:
-        """An HTTP GET against a replica: handshake + request + service."""
-        counters = self.counters
-        if route is None:
-            route = self.internet.route_view(origin, replica.host.ip)
-        destination = route.destination
-        if destination is None:
-            counters.lost += 1
-            return Delivery(LOST)
-        if not route.admits:
-            counters.filtered += 1
-            return Delivery(FILTERED, filtered_at=self._filter_hop(destination))
-        faults = self.faults
-        if (
-            faults is not None
-            and probe is not None
-            and faults.drop(carrier, probe, now, stream)
-        ):
-            counters.lost += 1
-            return Delivery(LOST, fault_induced=True)
-        from repro.cdn.replica import http_ttfb_ms
-
-        ttfb = http_ttfb_ms(self.internet, origin, replica, stream, route=route)
-        if faults is not None and ttfb > self.policy.http_timeout_ms:
-            counters.timed_out += 1
-            return Delivery(TIMED_OUT, fault_induced=True)
-        counters.delivered += 1
-        return Delivery(DELIVERED, ttfb)
 
     def traceroute(
         self,

@@ -16,7 +16,7 @@ CDN authorities (answers depend on the querying resolver's /24) subclass
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.node import Host
 from repro.dns.message import (
@@ -108,38 +108,19 @@ class ResolverEchoAuthority(Authority):
     used unique per-experiment subdomains, which the measurement library
     reproduces (see ``repro.measure.probes``).
 
-    The observation log is unbounded (every experiment adds unique
-    names), so :meth:`observations_for` answers from a suffix index
-    maintained on insert instead of scanning the whole log: each entry
-    is filed under every label-boundary suffix of its qname down to the
-    apex, making per-experiment queries O(matches) rather than O(log).
+    The observation log is unbounded: every experiment adds unique
+    names.
     """
 
     log: List[EchoLogEntry] = field(default_factory=list)
-    _suffix_index: Dict[str, List[EchoLogEntry]] = field(
-        default_factory=dict, repr=False
-    )
 
     def observe(self, qname: str, client_ip: str, now: float) -> ResourceRecord:
         """Record one observation and build the echoed A record.
 
         Shared by :meth:`answer` and the recursive engine's compiled
-        echo fast path, so both maintain the same log and index.
+        echo fast path, so both maintain the same log.
         """
-        entry = EchoLogEntry(qname=qname, resolver_ip=client_ip, at=now)
-        self.log.append(entry)
-        index = self._suffix_index
-        suffix = qname
-        apex = self.zone_apex
-        while True:
-            bucket = index.get(suffix)
-            if bucket is None:
-                index[suffix] = [entry]
-            else:
-                bucket.append(entry)
-            if suffix == apex or not suffix:
-                break
-            _, _, suffix = suffix.partition(".")
+        self.log.append(EchoLogEntry(qname=qname, resolver_ip=client_ip, at=now))
         return ResourceRecord(qname, RRType.A, 0, client_ip)
 
     def answer(
@@ -158,9 +139,5 @@ class ResolverEchoAuthority(Authority):
         return make_response(query, answers=[record], authoritative=True)
 
     def observations_for(self, suffix: str) -> List[EchoLogEntry]:
-        """Log entries whose qname falls under ``suffix``."""
-        suffix = normalize_name(suffix)
-        if name_within(self.zone_apex, suffix):
-            # At or above the apex: every logged name qualifies.
-            return list(self.log)
-        return list(self._suffix_index.get(suffix, ()))
+        """Log entries whose qname falls under ``suffix``, in log order."""
+        return [entry for entry in self.log if name_within(entry.qname, suffix)]

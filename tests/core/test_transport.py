@@ -94,12 +94,6 @@ class TestDeliveryVerdicts:
         assert not result.reached
         assert verdict.outcome == LOST
 
-    def test_http_delivered(self, world, origin, stream):
-        replica = world.cdns["usonly"].all_replicas()[0]
-        verdict = world.transport.http(origin, replica, stream)
-        assert verdict.outcome == DELIVERED
-        assert verdict.rtt_ms > 0
-
 
 class TestGates:
     def test_fault_free_gate_is_shared_singleton(self, world, stream):
